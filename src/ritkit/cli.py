@@ -1,7 +1,8 @@
 """Command-line entry point: detect, mutate, adjudicate and eval workflows.
 
-Exit codes for detect: 0 clean, 1 findings present, 2 fatal error. Reports go
-to stdout (or --out), diagnostics to stderr.
+Exit codes for detect: 0 clean, 1 findings present, 2 fatal error; any
+unexpected exception in any subcommand is reported on one stderr line and
+exits 2. Reports go to stdout (or --out), diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 from . import __version__
 from .client import StubAdjudicator
 from .config import ConfigError, ToolConfig, load_config
-from .detector import DetectorConfig, FineCategory, detect_file
+from .detector import CATEGORY_ORDER, DetectorConfig, FineCategory, detect_file
 from .evaluate import (
     EXPERIMENT_CELLS,
     ExperimentConfig,
@@ -35,7 +36,6 @@ from .mutate import (
     Exhaustive,
     MutantManifest,
     MutationError,
-    OPERATOR_ORDER,
     Sample,
     Seed,
     bundled_seed_paths,
@@ -43,6 +43,7 @@ from .mutate import (
 )
 from .parser import parse_ruleset
 from .report import (
+    finding_to_json,
     parse_structured,
     render_structured,
     render_structured_lines,
@@ -137,7 +138,7 @@ def cmd_mutate(args: argparse.Namespace) -> int:
     else:
         strategy = Exhaustive()
     try:
-        operators = tuple(FineCategory(name) for name in args.operators.split(",")) if args.operators else OPERATOR_ORDER
+        operators = tuple(FineCategory(name) for name in args.operators.split(",")) if args.operators else CATEGORY_ORDER
     except ValueError as exc:
         return _fail(f"unknown operator: {exc}")
 
@@ -176,6 +177,8 @@ def _make_adjudicator(args: argparse.Namespace, config: ToolConfig):
         if args.stub.startswith("table:"):
             table_path = args.stub.split(":", 1)[1]
             table = json.loads(Path(table_path).read_text(encoding="utf-8"))
+            if not isinstance(table, dict) or not all(isinstance(v, bool) for v in table.values()):
+                raise ConfigError(f"table stub {table_path} must be a JSON object of booleans")
             return StubAdjudicator("table", table=table)
         raise ConfigError(f"unknown stub policy: {args.stub}")
     if config.backend is None:
@@ -196,8 +199,10 @@ def cmd_adjudicate(args: argparse.Namespace) -> int:
         report = parse_structured(Path(args.report).read_text(encoding="utf-8"))
     except (OSError, ValueError, KeyError) as exc:
         return _fail(f"cannot load report {args.report}: {exc}")
-
-    routed = frozenset(FineCategory(name) for name in (args.routed.split(",") if args.routed else config.routed_set))
+    try:
+        routed = frozenset(FineCategory(name) for name in (args.routed.split(",") if args.routed else config.routed_set))
+    except ValueError as exc:
+        return _fail(f"unknown category: {exc}")
     result = run_pipeline(report, adjudicator, routed)
 
     if args.audit_log:
@@ -210,17 +215,11 @@ def cmd_adjudicate(args: argparse.Namespace) -> int:
         body = render_text(result.final)
     else:
         doc = report_to_json(result.final)
-        doc["discarded"] = [report_to_json_finding(f) for f in result.discarded]
+        doc["discarded"] = [finding_to_json(f) for f in result.discarded]
         doc["fail_open"] = list(result.fail_open_refs)
         body = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     _emit(body, args.out)
     return EXIT_CLEAN
-
-
-def report_to_json_finding(finding):
-    from .report import finding_to_json
-
-    return finding_to_json(finding)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +247,7 @@ def _predictor_from_spec(
         from .prompts import PromptTemplate
 
         template = PromptTemplate(config.shots, config.taxonomy, config.multi_response)
-        return backend_predictor(template, HttpBackend(tool_config.backend), config.multi_response)
+        return backend_predictor(template, HttpBackend(tool_config.backend))
     raise ConfigError(f"unknown predictor: {spec}")
 
 
@@ -382,7 +381,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("eval requires --manifest (or --replay)")
     if args.command == "eval" and not (args.replay or args.predictions or args.predictor):
         parser.error("eval requires --predictions, --predictor or --replay")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # the exit-code contract: never exit 1 on a crash
+        return _fail(f"{type(exc).__name__}: {exc}".replace("\n", " "))
 
 
 if __name__ == "__main__":

@@ -118,6 +118,11 @@ def _extract_content(body: str) -> tuple[str | None, str | None]:
     return content, None
 
 
+def backoff_base_delay(config: BackendConfig, attempt: int) -> float:
+    """Delay before the retry that follows `attempt`, jitter not included."""
+    return config.backoff_base * (2**attempt)
+
+
 def complete(
     config: BackendConfig,
     prompt: str,
@@ -188,16 +193,12 @@ def complete(
 
             # Exponential backoff with jitter bounded by the base delay, so
             # attempt k+1's scheduled delay never undercuts attempt k's base.
-            base = config.backoff_base * (2**attempt)
+            base = backoff_base_delay(config, attempt)
             sleep(base + rng.uniform(0, base))
         raise AssertionError("unreachable")  # pragma: no cover
     finally:
         if own_session:
             session.close()
-
-
-def backoff_base_delay(config: BackendConfig, attempt: int) -> float:
-    return config.backoff_base * (2**attempt)
 
 
 # ---------------------------------------------------------------------------

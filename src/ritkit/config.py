@@ -19,9 +19,6 @@ class ToolConfig:
     strict_event_matching: bool = True
     routed_set: tuple[str, ...] = ("WAC", "WTC")
     backend: BackendConfig | None = None
-    taxonomy: str = "six"
-    multi_response: bool = True
-    shots: int = 0
     format: str = "text"  # "text" | "structured"
 
     def __post_init__(self) -> None:
@@ -30,15 +27,8 @@ class ToolConfig:
                 FineCategory(name)
             except ValueError:
                 raise ConfigError(f"unknown category in routed_set: {name!r}") from None
-        if self.taxonomy not in ("six", "three"):
-            raise ConfigError("taxonomy must be 'six' or 'three'")
-        if self.shots not in (0, 1, 2):
-            raise ConfigError("shots must be 0, 1 or 2")
         if self.format not in ("text", "structured"):
             raise ConfigError("format must be 'text' or 'structured'")
-
-    def routed_categories(self) -> frozenset[FineCategory]:
-        return frozenset(FineCategory(name) for name in self.routed_set)
 
 
 _TOOL_KEYS = {f.name for f in fields(ToolConfig)}

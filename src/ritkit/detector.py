@@ -87,13 +87,6 @@ CC_DESCRIPTION = (
     "WHEN BOTH RULES ARE TRIGGERED IN PARALLEL."
 )
 
-_DESCRIPTIONS = {
-    CoarseCategory.AC: AC_DESCRIPTION,
-    CoarseCategory.TC: TC_DESCRIPTION,
-    CoarseCategory.CC: CC_DESCRIPTION,
-}
-
-
 def aggregate(fine: FineCategory) -> CoarseCategory:
     return _COARSE[fine]
 

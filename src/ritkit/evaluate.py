@@ -40,16 +40,6 @@ class GroundTruthEntry:
     def label(self, taxonomy: str) -> str:
         return self.fine if taxonomy == "six" else self.coarse
 
-    def to_json(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "source": self.source,
-            "rule_a": self.rule_a,
-            "rule_b": self.rule_b,
-            "fine": self.fine,
-            "coarse": self.coarse,
-        }
-
     @staticmethod
     def from_json(obj: dict) -> "GroundTruthEntry":
         return GroundTruthEntry(
@@ -84,12 +74,6 @@ def ground_truth_from_manifest(manifest: MutantManifest) -> list[GroundTruthEntr
             for rec in manifest.records
         ]
     )
-
-
-def save_ground_truth(entries: Iterable[GroundTruthEntry], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for entry in entries:
-            fh.write(json.dumps(entry.to_json(), sort_keys=True) + "\n")
 
 
 def load_ground_truth(path: str | Path) -> list[GroundTruthEntry]:
@@ -140,9 +124,6 @@ def score_prediction(pred: Prediction, truth: str, config: ExperimentConfig) -> 
 class ConfusionTally:
     per_class: dict[str, list[int]] = field(default_factory=dict)  # label -> [correct, total]
     parse_failures: int = 0
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
 
     def add(self, truth: str, correct: bool, failed: bool = False) -> None:
         cell = self.per_class.setdefault(truth, [0, 0])
@@ -151,20 +132,6 @@ class ConfusionTally:
             cell[0] += 1
         if failed:
             self.parse_failures += 1
-
-    def merge(self, other: "ConfusionTally") -> "ConfusionTally":
-        out = ConfusionTally(
-            per_class={k: list(v) for k, v in self.per_class.items()},
-            parse_failures=self.parse_failures + other.parse_failures,
-            tp=self.tp + other.tp,
-            fp=self.fp + other.fp,
-            fn=self.fn + other.fn,
-        )
-        for label, (correct, total) in other.per_class.items():
-            cell = out.per_class.setdefault(label, [0, 0])
-            cell[0] += correct
-            cell[1] += total
-        return out
 
     @property
     def total(self) -> int:
@@ -218,8 +185,6 @@ class MetricsRow:
     overall: Fraction
     parse_failures: int
     total: int
-    precision: Fraction | None = None  # only meaningful for TP/FP-style runs
-    recall: Fraction | None = None
 
     def rendered(self, labels: tuple[str, ...]) -> dict[str, str]:
         out = {label: format_percent(self.per_class.get(label)) for label in labels}
@@ -288,7 +253,7 @@ def detector_predictor(taxonomy: str = "six", strict: bool = True) -> Predictor:
     return predict
 
 
-def backend_predictor(template, backend, multi_allowed: bool | None = None) -> Predictor:
+def backend_predictor(template, backend) -> Predictor:
     """Blind classification through a text backend (hybrid recovery mode)."""
     from pathlib import Path as _Path
 
@@ -296,7 +261,7 @@ def backend_predictor(template, backend, multi_allowed: bool | None = None) -> P
 
     def predict(entry: GroundTruthEntry) -> Prediction:
         text = _Path(entry.source).read_text(encoding="utf-8")
-        return recover_negatives(text, template, backend, multi_allowed)
+        return recover_negatives(text, template, backend)
 
     return predict
 
@@ -307,7 +272,6 @@ def run_experiment(
     predictor: Predictor,
 ) -> tuple[MetricsRow, list[InstanceLog]]:
     """Score every instance; the log is sufficient to recompute all metrics."""
-    tally = ConfusionTally()
     logs: list[InstanceLog] = []
     for entry in dataset:
         truth = entry.label(config.taxonomy)
@@ -317,7 +281,6 @@ def run_experiment(
             pred = ParseFailure("no-valid-label", f"predictor error: {exc}")
         correct = score_prediction(pred, truth, config)
         failed = isinstance(pred, ParseFailure)
-        tally.add(truth, correct, failed)
         logs.append(
             InstanceLog(
                 instance_id=entry.instance_id,
@@ -327,13 +290,7 @@ def run_experiment(
                 correct=correct,
             )
         )
-    row = MetricsRow(
-        per_class=per_class_recall(tally),
-        overall=micro_accuracy(tally),
-        parse_failures=tally.parse_failures,
-        total=tally.total,
-    )
-    return row, logs
+    return metrics_from_logs(logs), logs
 
 
 def metrics_from_logs(logs: Iterable[InstanceLog]) -> MetricsRow:

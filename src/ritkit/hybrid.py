@@ -15,7 +15,7 @@ from typing import Iterable, Protocol
 
 from .client import AdjudicatorUnavailable, BackendError
 from .detector import CoarseCategory, FineCategory, Finding, FindingReport, finding_key
-from .prompts import ParseFailure, PromptTemplate, build_prompt, parse_model_response
+from .prompts import ParseFailure, PromptTemplate, build_prompt, parse_model_response, scan_labels
 
 DEFAULT_ROUTED_SET = frozenset({FineCategory.WAC, FineCategory.WTC})
 
@@ -113,7 +113,6 @@ class Verdict:
     finding_ref: str
     decision: Decision
     rationale: str | None
-    raw_responses: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -147,14 +146,9 @@ class ModelAdjudicator:
             response = self.backend.complete(payload)
         except BackendError as exc:
             raise AdjudicatorUnavailable(str(exc)) from exc
-        for line in reversed(response.splitlines()):
-            word = line.strip().strip(".!").upper()
-            if "YES" in word.split() or word == "YES":
-                return True, response
-            if "NO" in word.split() or word == "NO":
-                return False, response
-        # Unreadable answers keep the finding (the symbolic phase's recall wins).
-        return True, response
+        # Only a clear NO discards; an unreadable or ambiguous answer keeps the
+        # finding (the symbolic phase's recall wins).
+        return scan_labels(response, ("YES", "NO"), multi_allowed=False) != ("NO",), response
 
 
 def adjudicate(
@@ -170,18 +164,16 @@ def adjudicate(
     """
     ref = finding_key(finding)
     upheld = True
-    responses: list[str] = []
     rationale = None
     for subtask in subtasks:
         ok, raw = adjudicator.answer_subtask(ref, subtask.kind.value, subtask.payload)
-        responses.append(raw)
         if audit is not None:
             audit.append(AuditRecord(ref, subtask.kind.value, raw, ok))
         if not ok:
             upheld = False
             rationale = f"{subtask.kind.value} rejected"
     decision = Decision.CONFIRMED if upheld else Decision.DISCARDED
-    return Verdict(ref, decision, rationale, tuple(responses))
+    return Verdict(ref, decision, rationale)
 
 
 @dataclass(frozen=True)
@@ -242,18 +234,11 @@ def audit_log_lines(records: Iterable[AuditRecord]) -> str:
 # Blind false-negative recovery
 
 
-def recover_negatives(
-    ruleset_text: str,
-    template: PromptTemplate,
-    backend,
-    multi_allowed: bool | None = None,
-) -> tuple[str, ...] | ParseFailure:
+def recover_negatives(ruleset_text: str, template: PromptTemplate, backend) -> tuple[str, ...] | ParseFailure:
     """Classify a ruleset with no detector evidence attached."""
-    if multi_allowed is None:
-        multi_allowed = template.multi_response
     prompt = build_prompt(template, ruleset_text)
     try:
         response = backend.complete(prompt)
     except BackendError:
         return ParseFailure("blank", "")
-    return parse_model_response(response, template.taxonomy, multi_allowed)
+    return parse_model_response(response, template.taxonomy, template.multi_response)

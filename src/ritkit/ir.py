@@ -84,12 +84,6 @@ class Span:
     end_line: int
     end_col: int
 
-    def contains(self, other: "Span") -> bool:
-        return (self.start_line, self.start_col) <= (other.start_line, other.start_col) and (
-            other.end_line,
-            other.end_col,
-        ) <= (self.end_line, self.end_col)
-
 
 ZERO_SPAN = Span(1, 1, 1, 1)
 
@@ -145,8 +139,6 @@ class ConditionKind(Enum):
 
 DAY_START = 0
 DAY_END = 23 * 60 + 59
-
-COMPARISON_OPS = ("==", "!=", "<=", ">=", "<", ">")
 
 
 @dataclass(frozen=True)
@@ -315,8 +307,8 @@ def _call_text(a: Action) -> str:
 def renumber(rules: list[Rule], file_id: str, diagnostics: tuple[Diagnostic, ...] = ()) -> RuleSet:
     """Reassign r/t/c/a ids by position, preserving structure.
 
-    Used wherever IR rules are built or reordered outside the parser (tests,
-    mutation transforms) so id invariants keep holding.
+    A reference for tests that build or reorder IR rules outside the
+    parser, so id invariants keep holding; the parser mints its own ids.
     """
     out: list[Rule] = []
     for n, rule in enumerate(rules, start=1):

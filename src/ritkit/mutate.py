@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .detector import DetectorConfig, FineCategory, detect_file
+from .detector import CATEGORY_ORDER, DetectorConfig, FineCategory, detect_file
 from .ir import (
     Action,
     ActionKind,
@@ -41,21 +41,9 @@ from .parser import parse_ruleset
 from .semantics import triggers_overlap, value_conflicts
 from .source import SourceFile
 
-OPERATOR_ORDER = (
-    FineCategory.SAC,
-    FineCategory.WAC,
-    FineCategory.STC,
-    FineCategory.WTC,
-    FineCategory.SCC,
-    FineCategory.WCC,
-)
-
-_AC_OPERATORS = {FineCategory.SAC, FineCategory.WAC}
-
 DEFAULT_WINDOW = (8 * 60, 20 * 60)
 
 MISS_STRICT_MATCHING = "strict-event-matching"
-MISS_UNSUPPORTED = "unsupported-construct"
 
 
 class MutationError(Exception):
@@ -126,7 +114,7 @@ class MutantManifest:
     records: list[MutantRecord] = field(default_factory=list)
 
     def totals(self) -> dict[str, int]:
-        out = {cat.value: 0 for cat in OPERATOR_ORDER}
+        out = {cat.value: 0 for cat in CATEGORY_ORDER}
         for rec in self.records:
             out[rec.operator] += 1
         return out
@@ -646,7 +634,7 @@ def generate_corpus(
     seeds: list[Seed],
     strategy: Exhaustive | Sample,
     out_dir: str | Path,
-    operators: Iterable[FineCategory] = OPERATOR_ORDER,
+    operators: Iterable[FineCategory] = CATEGORY_ORDER,
     post_update_cascades: bool = False,
 ) -> MutantManifest:
     """Write mutant files plus a line-delimited manifest; returns the manifest."""

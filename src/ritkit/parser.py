@@ -23,8 +23,6 @@ unparseable script statements produce a warning and the rule is kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ir import (
     Action,
     ActionKind,
@@ -67,24 +65,15 @@ def _span_between(first: Token, last: Token) -> Span:
     return Span(first.line, first.col, last.line, last.col + len(last.text))
 
 
-@dataclass
-class _RuleDraft:
-    name: str
-    triggers: list[Trigger]
-    conditions: list[Condition]
-    guarded_actions: list[GuardedAction]
-    loc: Span
-
-
 class _BlockParser:
-    """Parses one rule block out of a token slice."""
+    """Parses one rule block out of a token slice into rule `rule_id`."""
 
-    def __init__(self, tokens: list[Token], warnings: list[Diagnostic]):
+    def __init__(self, tokens: list[Token], warnings: list[Diagnostic], rule_id: str):
         self.tokens = tokens
         self.pos = 0
         self.warnings = warnings
-        # Ids are assigned against the final rule number once the whole file
-        # parse settles; counters here produce 1-based per-rule ordinals.
+        self.rule_id = rule_id
+        # 1-based per-rule ordinals for the rNtM / rNcM / rNaM ids.
         self.trigger_n = 0
         self.condition_n = 0
         self.action_n = 0
@@ -122,19 +111,19 @@ class _BlockParser:
 
     def next_trigger_id(self) -> str:
         self.trigger_n += 1
-        return f"t{self.trigger_n}"
+        return f"{self.rule_id}t{self.trigger_n}"
 
     def next_condition_id(self) -> str:
         self.condition_n += 1
-        return f"c{self.condition_n}"
+        return f"{self.rule_id}c{self.condition_n}"
 
     def next_action_id(self) -> str:
         self.action_n += 1
-        return f"a{self.action_n}"
+        return f"{self.rule_id}a{self.action_n}"
 
     # -- rule --------------------------------------------------------------
 
-    def parse_rule(self) -> _RuleDraft:
+    def parse_rule(self) -> Rule:
         first = self.expect_keyword("rule")
         name_tok = self.take()
         if name_tok.kind is not TokenKind.STRING:
@@ -149,7 +138,9 @@ class _BlockParser:
         end_tok = self.expect_keyword("end")
         if self.peek() is not None:
             self._warn(f"content after 'end' ignored: {self.peek().text!r}", self.peek())
-        return _RuleDraft(name, triggers, conditions, guarded, _span_between(first, end_tok))
+        return Rule(
+            self.rule_id, name, tuple(triggers), tuple(guarded), tuple(conditions), _span_between(first, end_tok)
+        )
 
     # -- when clause -------------------------------------------------------
 
@@ -537,36 +528,6 @@ def _time_minutes(tok: Token) -> int:
     return h * 60 + m
 
 
-def _qualify_ids(draft: _RuleDraft, rule_id: str) -> Rule:
-    """Prefix per-rule ordinal ids with the final rule id."""
-
-    def fix_cond(c: Condition) -> Condition:
-        return Condition(f"{rule_id}{c.id}", c.kind, c.item, c.op, c.value, c.window, c.loc)
-
-    cond_cache: dict[str, Condition] = {}
-
-    def cached(c: Condition) -> Condition:
-        if c.id not in cond_cache:
-            cond_cache[c.id] = fix_cond(c)
-        return cond_cache[c.id]
-
-    triggers = tuple(
-        Trigger(
-            f"{rule_id}{t.id}", t.kind, t.item, t.from_value, t.to_value, t.command_value, t.cron, t.op, t.value, t.loc
-        )
-        for t in draft.triggers
-    )
-    conditions = tuple(cached(c) for c in draft.conditions)
-    guarded = tuple(
-        GuardedAction(
-            Action(f"{rule_id}{ga.action.id}", ga.action.kind, ga.action.item, ga.action.value, ga.action.loc),
-            tuple(cached(c) for c in ga.guards),
-        )
-        for ga in draft.guarded_actions
-    )
-    return Rule(rule_id, draft.name, triggers, guarded, conditions, draft.loc)
-
-
 def parse_ruleset(source: SourceFile) -> RuleSet:
     """Parse a whole .rules file; per-block failures become diagnostics."""
     tokens = tokenize(source)
@@ -574,12 +535,8 @@ def parse_ruleset(source: SourceFile) -> RuleSet:
     diagnostics: list[Diagnostic] = []
 
     if not starts:
-        meaningful = [t for t in tokens]
-        if meaningful:
-            first = meaningful[0]
-            diagnostics.append(
-                Diagnostic("error", "no-rules", "no rule blocks found in file", _span(first))
-            )
+        if tokens:
+            diagnostics.append(Diagnostic("error", "no-rules", "no rule blocks found in file", _span(tokens[0])))
         return RuleSet(file_id=source.path, diagnostics=tuple(diagnostics))
 
     if tokens and starts[0] > 0:
@@ -595,9 +552,9 @@ def parse_ruleset(source: SourceFile) -> RuleSet:
         end = starts[k + 1] if k + 1 < len(starts) else len(tokens)
         block = tokens[start:end]
         warnings: list[Diagnostic] = []
-        parser = _BlockParser(block, warnings)
+        parser = _BlockParser(block, warnings, f"r{len(rules) + 1}")
         try:
-            draft = parser.parse_rule()
+            rule = parser.parse_rule()
         except _BlockError as exc:
             tok = exc.token or block[0]
             diagnostics.append(
@@ -606,34 +563,7 @@ def parse_ruleset(source: SourceFile) -> RuleSet:
             diagnostics.extend(warnings)
             continue
         diagnostics.extend(warnings)
-        rules.append(_qualify_ids(draft, f"r{len(rules) + 1}"))
+        rules.append(rule)
 
     return RuleSet(file_id=source.path, rules=tuple(rules), diagnostics=tuple(diagnostics))
 
-
-def parse_trigger_clause(text: str) -> tuple[list[Trigger], list[Condition], list[Diagnostic]]:
-    """Parse the text between `when` and `then` on its own."""
-    source = SourceFile.from_text(text)
-    warnings: list[Diagnostic] = []
-    parser = _BlockParser(tokenize(source), warnings)
-    try:
-        triggers, conditions = parser.parse_when_clause()
-    except _BlockError as exc:
-        tok = exc.token
-        return [], [], warnings + [
-            Diagnostic("error", "rule-block", exc.message, _span(tok) if tok else Span(1, 1, 1, 1))
-        ]
-    draft = _RuleDraft("", triggers, conditions, [], Span(1, 1, 1, 1))
-    rule = _qualify_ids(draft, "r1")
-    return list(rule.triggers), list(rule.conditions), warnings
-
-
-def parse_script_block(text: str) -> tuple[list[GuardedAction], list[Diagnostic]]:
-    """Parse the text between `then` and `end` on its own."""
-    source = SourceFile.from_text(text)
-    warnings: list[Diagnostic] = []
-    parser = _BlockParser(tokenize(source), warnings)
-    guarded = parser.parse_script()
-    draft = _RuleDraft("", [], [], guarded, Span(1, 1, 1, 1))
-    rule = _qualify_ids(draft, "r1")
-    return list(rule.guarded_actions), warnings

@@ -134,29 +134,32 @@ class ParseFailure:
     raw: str
 
 
-_ACRONYM_RE = re.compile(r"[A-Za-z]{2,3}")
+_WORD_RE = re.compile(r"[A-Za-z]+")
+
+
+def scan_labels(text: str, vocabulary: tuple[str, ...], multi_allowed: bool) -> tuple[str, ...] | ParseFailure:
+    """Read the vocabulary words a model answered with.
+
+    Tokens are whole runs of ASCII letters matched case-insensitively, so a
+    word counts only when it stands alone ("sacred" holds no SAC). Lines are
+    scanned from the end so reasoning preambles are skipped; the last line
+    holding any vocabulary word wins. Duplicates collapse while first-seen
+    order is kept.
+    """
+    if not text.strip():
+        return ParseFailure(PARSE_FAILURE_BLANK, text)
+    for line in reversed(text.splitlines()):
+        words = (token.upper() for token in _WORD_RE.findall(line))
+        labels = tuple(dict.fromkeys(word for word in words if word in vocabulary))
+        if labels:
+            if not multi_allowed and len(labels) > 1:
+                return ParseFailure(PARSE_FAILURE_AMBIGUOUS, text)
+            return labels
+    return ParseFailure(PARSE_FAILURE_NO_LABEL, text)
 
 
 def parse_model_response(
     text: str, taxonomy: str = "six", multi_allowed: bool = True
 ) -> tuple[str, ...] | ParseFailure:
-    """Extract RIT acronyms from a model response.
-
-    Scans lines from the end so reasoning preambles are skipped; the last
-    line containing any valid acronym wins. Case-insensitive; duplicates
-    collapse while first-seen order is kept.
-    """
-    if not text.strip():
-        return ParseFailure(PARSE_FAILURE_BLANK, text)
-    valid = FINE_LABELS if taxonomy == "six" else COARSE_LABELS
-    for line in reversed(text.splitlines()):
-        labels: list[str] = []
-        for token in _ACRONYM_RE.findall(line):
-            upper = token.upper()
-            if upper in valid and upper not in labels:
-                labels.append(upper)
-        if labels:
-            if not multi_allowed and len(labels) > 1:
-                return ParseFailure(PARSE_FAILURE_AMBIGUOUS, text)
-            return tuple(labels)
-    return ParseFailure(PARSE_FAILURE_NO_LABEL, text)
+    """Extract RIT acronyms of the taxonomy from a model response."""
+    return scan_labels(text, FINE_LABELS if taxonomy == "six" else COARSE_LABELS, multi_allowed)

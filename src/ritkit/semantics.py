@@ -32,7 +32,6 @@ class OverlapReason(Enum):
     CONSERVATIVE_DEFAULT = "conservative-default"
     DISJOINT_CRON = "proven-disjoint-cron"
     DISJOINT_STATE = "proven-disjoint-state"
-    DISJOINT_TIMEWINDOW = "proven-disjoint-timewindow"
 
 
 @dataclass(frozen=True)

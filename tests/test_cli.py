@@ -166,9 +166,9 @@ class TestConfig:
 
     def test_load_and_reject_unknown_keys(self, tmp_path):
         good = tmp_path / "good.json"
-        good.write_text(json.dumps({"strict_event_matching": False, "shots": 2}), encoding="utf-8")
+        good.write_text(json.dumps({"strict_event_matching": False, "format": "structured"}), encoding="utf-8")
         config = load_config(good)
-        assert config.strict_event_matching is False and config.shots == 2
+        assert config.strict_event_matching is False and config.format == "structured"
 
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"strict_matching": True}), encoding="utf-8")
@@ -317,3 +317,39 @@ class TestBackendPredictorCli:
             capsys, "eval", "--manifest", str(tmp_path / "corpus" / "manifest.jsonl"), "--predictor", "backend"
         )
         assert code == 2 and "backend" in err
+
+
+class TestExitCodeContract:
+    @pytest.fixture()
+    def report_path(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        run_cli(capsys, "detect", str(DATA / "hybrid_mixed.rules"), "--format", "structured", "--out", str(path))
+        return path
+
+    def test_deep_nesting_is_fatal_not_findings(self, capsys, tmp_path):
+        rules = tmp_path / "deep.rules"
+        body = "    if (X == ON) {\n" * 500 + "    sendCommand(Y, ON)\n" + "    }\n" * 500
+        rules.write_text(f'rule "deep"\nwhen\n    System started\nthen\n{body}end\n', encoding="utf-8")
+        code, out, err = run_cli(capsys, "detect", str(rules))
+        assert code == 2 and out == ""
+        assert err.startswith("error: RecursionError: ") and err.count("\n") == 1
+
+    def test_table_stub_without_entry_is_fatal(self, capsys, tmp_path, report_path):
+        table = tmp_path / "table.json"
+        table.write_text("{}", encoding="utf-8")
+        code, _, err = run_cli(capsys, "adjudicate", str(report_path), "--stub", f"table:{table}")
+        assert code == 2
+        assert err.startswith("error: KeyError: ") and err.count("\n") == 1
+
+    def test_unknown_routed_category_is_fatal(self, capsys, report_path):
+        code, out, err = run_cli(capsys, "adjudicate", str(report_path), "--stub", "accept-all", "--routed", "WAC,BOGUS")
+        assert code == 2 and out == ""
+        assert err.startswith("error: unknown category: ") and "BOGUS" in err
+
+    def test_table_stub_must_map_keys_to_booleans(self, capsys, tmp_path, report_path):
+        for doc in ([], {"SAC:r1:r2:r1a1:r2a1": "yes"}):
+            table = tmp_path / "table.json"
+            table.write_text(json.dumps(doc), encoding="utf-8")
+            code, out, err = run_cli(capsys, "adjudicate", str(report_path), "--stub", f"table:{table}")
+            assert code == 2 and out == ""
+            assert "JSON object of booleans" in err

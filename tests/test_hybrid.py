@@ -196,9 +196,17 @@ class TestAudit:
 
 class TestModelAdjudicator:
     def test_yes_no_extraction(self):
-        adj = ModelAdjudicator(StubBackend(responses=["I considered it.\nNO"]))
-        uphold, raw = adj.answer_subtask("k", "trigger-overlap", "payload")
-        assert uphold is False and raw.endswith("NO")
+        answers = [
+            ("I considered it.\nNO", False),
+            ("No, they never coincide.", False),
+            ("**NO**", False),
+            ("NO, not a hazard", False),
+            ("Yes, they can.", True),
+        ]
+        for response, upheld in answers:
+            adj = ModelAdjudicator(StubBackend(responses=[response]))
+            uphold, raw = adj.answer_subtask("k", "trigger-overlap", "payload")
+            assert (uphold, raw) == (upheld, response)
 
     def test_unreadable_answer_upholds(self):
         adj = ModelAdjudicator(StubBackend(responses=["hard to say"]))

@@ -4,14 +4,13 @@ from collections import Counter
 
 import pytest
 
-from ritkit.detector import DetectorConfig, FineCategory, detect_file
+from ritkit.detector import CATEGORY_ORDER, DetectorConfig, FineCategory, detect_file
 from ritkit.mutate import (
     Exhaustive,
     MISS_STRICT_MATCHING,
     MutantManifest,
     MutationError,
     OPERATORS,
-    OPERATOR_ORDER,
     Sample,
     Seed,
     apply_operator,
@@ -83,7 +82,7 @@ class TestEligibility:
 
 
 class TestApplyOperator:
-    @pytest.mark.parametrize("category", OPERATOR_ORDER)
+    @pytest.mark.parametrize("category", CATEGORY_ORDER)
     def test_detector_recovers_target(self, small_seed, category):
         op = OPERATORS[category]
         pairs = enumerate_eligible_pairs(small_seed.ruleset, op)
@@ -153,13 +152,13 @@ class TestCorpus:
         on_disk = list((tmp_path / "corpus").glob("m*.rules"))
         assert len(on_disk) == len(manifest.records)
         counted = Counter(r.operator for r in manifest.records)
-        assert manifest.totals() == {cat.value: counted.get(cat.value, 0) for cat in OPERATOR_ORDER}
+        assert manifest.totals() == {cat.value: counted.get(cat.value, 0) for cat in CATEGORY_ORDER}
 
         # Corpus size equals the sum of per-operator eligible pair counts.
         expected = sum(
             len(enumerate_eligible_pairs(seed.ruleset, OPERATORS[cat]))
             for seed in seeds
-            for cat in OPERATOR_ORDER
+            for cat in CATEGORY_ORDER
         )
         assert len(manifest.records) == expected
 
@@ -215,6 +214,6 @@ class TestBundledSeeds:
             assert seed.ruleset.diagnostics == (), seed.path
 
     def test_every_operator_has_eligible_pairs_somewhere(self, seeds):
-        for cat in OPERATOR_ORDER:
+        for cat in CATEGORY_ORDER:
             count = sum(len(enumerate_eligible_pairs(s.ruleset, OPERATORS[cat])) for s in seeds)
             assert count > 0, cat

@@ -6,7 +6,7 @@ from conftest import parse_fixture, parse_text
 
 from ritkit.ir import ActionKind, ConditionKind, TriggerKind, ValueKind
 from ritkit.lexer import TokenKind, tokenize
-from ritkit.parser import parse_ruleset, parse_script_block, parse_trigger_clause
+from ritkit.parser import parse_ruleset
 from ritkit.source import SourceFile
 
 
@@ -164,52 +164,64 @@ class TestParseRuleset:
         assert rs.rules[0].guarded_actions[0].action.kind is ActionKind.POST_UPDATE
 
 
+def parse_when(clause: str):
+    """Parse `clause` as the when clause of a one-rule file."""
+    return parse_text(f'rule "x"\nwhen\n    {clause}\nthen\n    sendCommand(X, ON)\nend\n')
+
+
+def parse_script(script: str):
+    """Guarded actions of `script` parsed as the body of a one-rule file."""
+    rs = parse_text(f'rule "x"\nwhen\n    System started\nthen\n{script}end\n')
+    return rs.rules[0].guarded_actions
+
+
 class TestWhenClause:
     def test_cron_with_conjoined_condition(self):
-        triggers, conditions, diags = parse_trigger_clause('Time cron "0 30 08 * * ?" && day.state == "Weekday"')
-        assert [t.kind for t in triggers] == [TriggerKind.CRON]
-        assert len(conditions) == 1
-        cond = conditions[0]
+        rs = parse_when('Time cron "0 30 08 * * ?" && day.state == "Weekday"')
+        rule = rs.rules[0]
+        assert [t.kind for t in rule.triggers] == [TriggerKind.CRON]
+        assert len(rule.conditions) == 1
+        cond = rule.conditions[0]
         assert (cond.item, cond.op, cond.value.text) == ("day", "==", "Weekday")
-        assert not diags
+        assert not rs.diagnostics
 
     def test_state_comparison_trigger(self):
-        triggers, conditions, _ = parse_trigger_clause("Temperature.state >= 25")
+        triggers = parse_when("Temperature.state >= 25").rules[0].triggers
         assert triggers[0].kind is TriggerKind.STATE_COMPARISON
         assert triggers[0].item == "Temperature"
         assert triggers[0].op == ">=" and triggers[0].value.number == 25
 
     def test_system_started(self):
-        triggers, _, _ = parse_trigger_clause("System started")
+        triggers = parse_when("System started").rules[0].triggers
         assert triggers[0].kind is TriggerKind.SYSTEM_STARTED
 
     def test_or_separated_alternatives(self):
-        triggers, _, _ = parse_trigger_clause("Lamp changed to ON or Item Lamp2 received update")
+        triggers = parse_when("Lamp changed to ON or Item Lamp2 received update").rules[0].triggers
         assert [t.kind for t in triggers] == [TriggerKind.ITEM_CHANGED, TriggerKind.ITEM_UPDATE]
 
     def test_received_command_with_value(self):
-        triggers, _, _ = parse_trigger_clause("Item Doorbell received command PRESSED")
+        triggers = parse_when("Item Doorbell received command PRESSED").rules[0].triggers
         assert triggers[0].kind is TriggerKind.ITEM_COMMAND
         assert triggers[0].command_value.text == "PRESSED"
 
     def test_unrecognized_trigger_reports_error(self):
-        triggers, conditions, diags = parse_trigger_clause("Member of gLights changed")
-        assert not triggers and any(d.severity == "error" for d in diags)
+        rs = parse_when("Member of gLights changed")
+        assert not rs.rules and any(d.severity == "error" for d in rs.diagnostics)
 
 
 class TestScriptBlock:
     def test_guarded_single_action(self):
-        gas, _ = parse_script_block("if (temperature.state >= 57)\n    sendCommand(window_Lock, OFF)\n")
+        gas = parse_script("if (temperature.state >= 57)\n    sendCommand(window_Lock, OFF)\n")
         assert len(gas) == 1
         assert gas[0].action.item == "window_Lock"
         assert [(c.item, c.op) for c in gas[0].guards] == [("temperature", ">=")]
 
     def test_unguarded_action(self):
-        gas, _ = parse_script_block("sendCommand(Fans, ON)\n")
+        gas = parse_script("sendCommand(Fans, ON)\n")
         assert len(gas) == 1 and gas[0].guards == ()
 
     def test_window_guard_applies_to_two_actions(self):
-        gas, _ = parse_script_block(
+        gas = parse_script(
             "if(time >= 8:00 && time <= 9:00)\n    sendCommand(Door_Lock, OFF)\n    sendCommand(Garage_Door, OPEN)\n"
         )
         assert [ga.action.item for ga in gas] == ["Door_Lock", "Garage_Door"]

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import string
+
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from ritkit.prompts import (
     COARSE_LABELS,
@@ -13,6 +17,7 @@ from ritkit.prompts import (
     build_prompt,
     parse_model_response,
     prompt_asset_version,
+    scan_labels,
 )
 
 RULESET = 'rule "demo"\nwhen\n    System started\nthen\n    sendCommand(X, ON)\nend\n'
@@ -97,8 +102,9 @@ class TestParseModelResponse:
         assert parse_model_response("wac", "six", True) == ("WAC",)
 
     def test_prose_without_labels_fails(self):
-        result = parse_model_response("I think there is no threat.", "six", True)
-        assert isinstance(result, ParseFailure) and result.kind == PARSE_FAILURE_NO_LABEL
+        for text in ("I think there is no threat.", "sacred", "The rules look wacky"):
+            result = parse_model_response(text, "six", True)
+            assert isinstance(result, ParseFailure) and result.kind == PARSE_FAILURE_NO_LABEL
 
     def test_blank_output_fails(self):
         result = parse_model_response("  \n ", "six", True)
@@ -132,3 +138,16 @@ class TestParseModelResponse:
             assert parse_model_response(label, "six", True) == (label,)
         for label in COARSE_LABELS:
             assert parse_model_response(label, "three", True) == (label,)
+
+    @given(
+        st.sampled_from([(vocab, word) for vocab in (FINE_LABELS, COARSE_LABELS, ("YES", "NO")) for word in vocab]),
+        st.text(string.ascii_letters, max_size=4),
+        st.text(string.ascii_letters, max_size=4),
+        st.sampled_from([str.upper, str.lower, str.title]),
+        st.booleans(),
+    )
+    def test_word_inside_longer_run_of_letters_is_no_label(self, choice, prefix, suffix, case, multi_allowed):
+        assume(prefix or suffix)
+        vocabulary, word = choice
+        result = scan_labels(f"Answer: {prefix}{case(word)}{suffix}.", vocabulary, multi_allowed)
+        assert isinstance(result, ParseFailure) and result.kind == PARSE_FAILURE_NO_LABEL
