@@ -9,25 +9,22 @@ For every unordered rule pair the detector checks three families:
 * condition cascade (WCC/SCC): an action of one rule enables the guards on
   an action of the other; strong when every guard is enabled.
 
-Cascade families are evaluated in both directions. Guards of an action are
-always merged with its rule's when-clause conditions.
+`detect_pair` makes one pass per pair. It checks trigger overlap once for
+each trigger of one rule against each trigger of the other, and both
+directions of all three families share that scan. Cascade families are
+evaluated in both directions, action contradiction once. A finding's
+evidence is rendered only when the finding is emitted, and a direction's
+overlapping triggers only once, for its first finding. Guards of an action
+are always merged with its rule's when-clause conditions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable, Iterable
 
-from .ir import (
-    Condition,
-    GuardedAction,
-    Rule,
-    RuleSet,
-    action_text,
-    condition_text,
-    effective_guards,
-    trigger_text,
-)
+from .ir import Action, Condition, Rule, RuleSet, action_text, condition_text, effective_guards, trigger_text
 from .semantics import (
     action_enables_condition,
     action_matches_trigger,
@@ -159,191 +156,128 @@ class FindingReport:
         return out
 
 
-# ---------------------------------------------------------------------------
-# Evidence assembly helpers
-
-
-def _trigger_refs(pairs: list[tuple]) -> tuple[tuple[EvidenceRef, ...], tuple[EvidenceRef, ...]]:
-    seen_a: dict[str, EvidenceRef] = {}
-    seen_b: dict[str, EvidenceRef] = {}
-    for ta, tb in pairs:
-        seen_a.setdefault(ta.id, EvidenceRef(ta.id, trigger_text(ta)))
-        seen_b.setdefault(tb.id, EvidenceRef(tb.id, trigger_text(tb)))
-    return tuple(seen_a.values()), tuple(seen_b.values())
-
-
-def _condition_refs(conds: tuple[Condition, ...]) -> tuple[EvidenceRef, ...]:
-    return tuple(EvidenceRef(c.id, condition_text(c)) for c in conds)
-
-
-def _action_ref(ga: GuardedAction) -> EvidenceRef:
-    return EvidenceRef(ga.action.id, action_text(ga.action))
-
-
-def _overlapping_trigger_pairs(a: Rule, b: Rule) -> list[tuple]:
-    return [
-        (ta, tb)
-        for ta in a.triggers
-        for tb in b.triggers
-        if triggers_overlap(ta, tb).overlap
-    ]
-
-
-# ---------------------------------------------------------------------------
-# Classifiers
-
-
-def _scc_edges(findings: list[Finding]) -> set[tuple[str, tuple[str, ...]]]:
-    """(enabler action id, enabled guard ids) for every SCC finding."""
-    return {
-        (f.action_a.id, tuple(ref.id for ref in f.enabled_conditions_b))
-        for f in findings
-        if f.category is FineCategory.SCC
-    }
-
-
-def classify_action_contradiction(
-    a: Rule, b: Rule, scc_edges: set[tuple[str, tuple[str, ...]]] = frozenset()
-) -> list[Finding]:
-    """WAC/SAC findings, canonicalized so rule_a precedes rule_b.
-
-    An action pair whose relationship is already reported as a strong
-    condition cascade (one action's write satisfies the other's entire guard
-    set) is the cascade's enabling edge, not an independent contradiction,
-    and is skipped.
+class _Direction:
+    """Rule a into rule b, with the positions (i, j) of every overlapping
+    trigger pair a.triggers[i], b.triggers[j], in (i, j) order.
     """
-    if a.index > b.index:
-        a, b = b, a
-    overlap_pairs = _overlapping_trigger_pairs(a, b)
-    if not overlap_pairs:
-        return []
-    triggers_a, triggers_b = _trigger_refs(overlap_pairs)
-    findings: list[Finding] = []
-    for ga in a.guarded_actions:
-        guards_a = effective_guards(a, ga)
-        for gb in b.guarded_actions:
-            if not actions_contradict(ga.action, gb.action):
-                continue
-            guards_b = effective_guards(b, gb)
-            if not conditions_overlap(guards_a, guards_b):
-                continue
-            if (ga.action.id, tuple(c.id for c in guards_b)) in scc_edges:
-                continue
-            if (gb.action.id, tuple(c.id for c in guards_a)) in scc_edges:
-                continue
-            category = FineCategory.SAC if not guards_a and not guards_b else FineCategory.WAC
-            findings.append(
-                Finding(
-                    category=category,
-                    rule_a=RuleRef(a.id, a.name),
-                    rule_b=RuleRef(b.id, b.name),
-                    threat_pair=(ga.action.id, gb.action.id),
-                    triggers_a=triggers_a,
-                    triggers_b=triggers_b,
-                    conditions_a=_condition_refs(guards_a),
-                    conditions_b=_condition_refs(guards_b),
-                    description=AC_DESCRIPTION,
-                    action_a=_action_ref(ga),
-                    action_b=_action_ref(gb),
-                )
+
+    def __init__(self, a: Rule, b: Rule, overlaps: list[tuple[int, int]]):
+        self.a, self.b, self.overlaps = a, b, overlaps
+        self.triggers: tuple[tuple[EvidenceRef, ...], tuple[EvidenceRef, ...]] | None = None
+
+    def finding(
+        self,
+        category: FineCategory,
+        threat_pair: tuple[str, str],
+        action_a: Action,
+        conditions_a: tuple[Condition, ...],
+        conditions_b: tuple[Condition, ...],
+        description: str,
+        **evidence: object,
+    ) -> Finding:
+        """Build a finding of this direction; its overlapping triggers are
+        rendered for the first one and reused after."""
+        if self.triggers is None:
+            self.triggers = (
+                _refs([self.a.triggers[i] for i in dict.fromkeys(i for i, _ in self.overlaps)], trigger_text),
+                _refs([self.b.triggers[j] for j in dict.fromkeys(j for _, j in self.overlaps)], trigger_text),
             )
-    return findings
+        return Finding(
+            category=category,
+            rule_a=RuleRef(self.a.id, self.a.name),
+            rule_b=RuleRef(self.b.id, self.b.name),
+            threat_pair=threat_pair,
+            triggers_a=self.triggers[0],
+            triggers_b=self.triggers[1],
+            conditions_a=_refs(conditions_a, condition_text),
+            conditions_b=_refs(conditions_b, condition_text),
+            description=description,
+            action_a=EvidenceRef(action_a.id, action_text(action_a)),
+            **evidence,
+        )
 
 
-def classify_trigger_cascade(a: Rule, b: Rule, strict: bool = True) -> list[Finding]:
-    """WTC/STC findings for cascades from rule a into rule b."""
-    conditions_b = b.all_conditions()
-    overlap_pairs = _overlapping_trigger_pairs(a, b)
-    triggers_a, triggers_b = _trigger_refs(overlap_pairs)
-    findings: list[Finding] = []
-    for ga in a.guarded_actions:
-        guards_a = effective_guards(a, ga)
-        for trig in b.triggers:
-            if not action_matches_trigger(ga.action, trig, strict):
-                continue
-            if not guards_a and not conditions_b:
-                category = FineCategory.STC
-            elif conditions_overlap(guards_a, conditions_b):
-                category = FineCategory.WTC
-            else:
-                continue
-            findings.append(
-                Finding(
-                    category=category,
-                    rule_a=RuleRef(a.id, a.name),
-                    rule_b=RuleRef(b.id, b.name),
-                    threat_pair=(ga.action.id, trig.id),
-                    triggers_a=triggers_a,
-                    triggers_b=triggers_b,
-                    conditions_a=_condition_refs(guards_a),
-                    conditions_b=_condition_refs(conditions_b),
-                    description=TC_DESCRIPTION,
-                    action_a=_action_ref(ga),
-                    trigger_b=EvidenceRef(trig.id, trigger_text(trig)),
-                )
-            )
-    return findings
-
-
-def classify_condition_cascade(a: Rule, b: Rule) -> list[Finding]:
-    """WCC/SCC findings for rule a enabling guards in rule b.
-
-    Findings are keyed per (enabler action, distinct guard set): actions in
-    rule b sharing one guard set yield a single finding.
-    """
-    if not a.all_conditions() or not b.all_conditions():
-        return []
-    overlap_pairs = _overlapping_trigger_pairs(a, b)
-    if not overlap_pairs:
-        return []
-    triggers_a, triggers_b = _trigger_refs(overlap_pairs)
-
-    guard_sets: list[tuple[Condition, ...]] = []
-    seen: set[tuple[str, ...]] = set()
-    for gb in b.guarded_actions:
-        guards = effective_guards(b, gb)
-        key = tuple(c.id for c in guards)
-        if guards and key not in seen:
-            seen.add(key)
-            guard_sets.append(guards)
-
-    findings: list[Finding] = []
-    for ga in a.guarded_actions:
-        guards_a = effective_guards(a, ga)
-        for guards in guard_sets:
-            enabled = tuple(c for c in guards if action_enables_condition(ga.action, c))
-            if not enabled:
-                continue
-            category = FineCategory.SCC if len(enabled) == len(guards) else FineCategory.WCC
-            findings.append(
-                Finding(
-                    category=category,
-                    rule_a=RuleRef(a.id, a.name),
-                    rule_b=RuleRef(b.id, b.name),
-                    threat_pair=(ga.action.id, "+".join(c.id for c in guards)),
-                    triggers_a=triggers_a,
-                    triggers_b=triggers_b,
-                    conditions_a=_condition_refs(guards_a),
-                    conditions_b=_condition_refs(guards),
-                    description=CC_DESCRIPTION,
-                    action_a=_action_ref(ga),
-                    enabled_conditions_b=tuple(EvidenceRef(c.id, condition_text(c)) for c in enabled),
-                )
-            )
-    return findings
+def _refs(nodes: Iterable, render: Callable[..., str]) -> tuple[EvidenceRef, ...]:
+    return tuple(EvidenceRef(node.id, render(node)) for node in nodes)
 
 
 def detect_pair(a: Rule, b: Rule, config: DetectorConfig = DetectorConfig()) -> list[Finding]:
-    """All findings for one rule pair; cascades run in both directions."""
+    """All findings for one rule pair, in the order AC, TC a→b, TC b→a,
+    CC a→b, CC b→a; AC findings name the rule with the lower index first.
+    """
     if a.id == b.id:
         raise ValueError("detect_pair requires two distinct rules")
-    strict = config.strict_event_matching
-    cascades = classify_condition_cascade(a, b) + classify_condition_cascade(b, a)
-    findings = classify_action_contradiction(a, b, _scc_edges(cascades))
-    findings += classify_trigger_cascade(a, b, strict)
-    findings += classify_trigger_cascade(b, a, strict)
-    findings += cascades
-    return findings
+    overlaps = [
+        (i, j) for i, ta in enumerate(a.triggers) for j, tb in enumerate(b.triggers) if triggers_overlap(ta, tb).overlap
+    ]
+    forward = _Direction(a, b, overlaps)
+    backward = _Direction(b, a, sorted((j, i) for i, j in overlaps))
+
+    # Condition cascades, keyed per (enabler action, distinct guard set):
+    # actions of rule b that share one guard set yield a single finding.
+    cascades: list[Finding] = []
+    if overlaps and a.all_conditions() and b.all_conditions():
+        for d in (forward, backward):
+            guard_sets: dict[tuple[str, ...], tuple[Condition, ...]] = {}
+            for gb in d.b.guarded_actions:
+                guards = effective_guards(d.b, gb)
+                if guards:
+                    guard_sets.setdefault(tuple(c.id for c in guards), guards)
+            for ga in d.a.guarded_actions:
+                for guards in guard_sets.values():
+                    enabled = tuple(c for c in guards if action_enables_condition(ga.action, c))
+                    if enabled:
+                        category = FineCategory.SCC if len(enabled) == len(guards) else FineCategory.WCC
+                        threat_pair = (ga.action.id, "+".join(c.id for c in guards))
+                        cascades.append(d.finding(
+                            category, threat_pair, ga.action, effective_guards(d.a, ga), guards, CC_DESCRIPTION,
+                            enabled_conditions_b=_refs(enabled, condition_text),
+                        ))
+
+    # Action contradictions. An action pair whose relationship is already a
+    # strong condition cascade (one action's write satisfies the other's
+    # entire guard set) is the cascade's enabling edge, not an independent
+    # contradiction, and is skipped; SCC threat pairs name those edges.
+    strong = {f.threat_pair for f in cascades if f.category is FineCategory.SCC}
+    d = backward if a.index > b.index else forward
+    findings: list[Finding] = []
+    for ga in (d.a.guarded_actions if overlaps else ()):
+        guards_a = effective_guards(d.a, ga)
+        for gb in d.b.guarded_actions:
+            if not actions_contradict(ga.action, gb.action):
+                continue
+            guards_b = effective_guards(d.b, gb)
+            if not conditions_overlap(guards_a, guards_b):
+                continue
+            if (ga.action.id, "+".join(c.id for c in guards_b)) in strong:
+                continue
+            if (gb.action.id, "+".join(c.id for c in guards_a)) in strong:
+                continue
+            category = FineCategory.SAC if not guards_a and not guards_b else FineCategory.WAC
+            findings.append(d.finding(
+                category, (ga.action.id, gb.action.id), ga.action, guards_a, guards_b, AC_DESCRIPTION,
+                action_b=EvidenceRef(gb.action.id, action_text(gb.action)),
+            ))
+
+    # Trigger cascades, which need no trigger overlap.
+    for d in (forward, backward):
+        conditions_b = d.b.all_conditions()
+        for ga in d.a.guarded_actions:
+            guards_a = effective_guards(d.a, ga)
+            for trig in d.b.triggers:
+                if not action_matches_trigger(ga.action, trig, config.strict_event_matching):
+                    continue
+                if not guards_a and not conditions_b:
+                    category = FineCategory.STC
+                elif conditions_overlap(guards_a, conditions_b):
+                    category = FineCategory.WTC
+                else:
+                    continue
+                findings.append(d.finding(
+                    category, (ga.action.id, trig.id), ga.action, guards_a, conditions_b, TC_DESCRIPTION,
+                    trigger_b=EvidenceRef(trig.id, trigger_text(trig)),
+                ))
+    return findings + cascades
 
 
 def detect_file(ruleset: RuleSet, config: DetectorConfig = DetectorConfig()) -> FindingReport:

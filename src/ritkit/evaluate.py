@@ -235,7 +235,11 @@ def constant_predictor(label: str) -> Predictor:
 
 
 def detector_predictor(taxonomy: str = "six", strict: bool = True) -> Predictor:
-    """Classify an instance file with the static detector itself."""
+    """Classify an instance file with the static detector itself.
+
+    A file without findings is predicted as no labels: a miss, not a parse
+    failure.
+    """
     from .detector import DetectorConfig, detect_file
     from .parser import parse_ruleset
     from .source import SourceFile
@@ -245,10 +249,7 @@ def detector_predictor(taxonomy: str = "six", strict: bool = True) -> Predictor:
     def predict(entry: GroundTruthEntry) -> Prediction:
         report = detect_file(parse_ruleset(SourceFile.from_path(entry.source)), config)
         raw = [f.category.value if taxonomy == "six" else f.coarse.value for f in report.findings]
-        ordered = tuple(dict.fromkeys(raw))
-        if not ordered:
-            return ParseFailure("no-valid-label", "detector found no threats")
-        return ordered
+        return tuple(dict.fromkeys(raw))
 
     return predict
 
@@ -271,14 +272,15 @@ def run_experiment(
     dataset: list[GroundTruthEntry],
     predictor: Predictor,
 ) -> tuple[MetricsRow, list[InstanceLog]]:
-    """Score every instance; the log is sufficient to recompute all metrics."""
+    """Score every instance; the log is sufficient to recompute all metrics.
+
+    A predictor error (say, an unreadable instance file) propagates: a broken
+    corpus must not score as a weak model.
+    """
     logs: list[InstanceLog] = []
     for entry in dataset:
         truth = entry.label(config.taxonomy)
-        try:
-            pred = predictor(entry)
-        except Exception as exc:  # unreadable instance scores incorrect
-            pred = ParseFailure("no-valid-label", f"predictor error: {exc}")
+        pred = predictor(entry)
         correct = score_prediction(pred, truth, config)
         failed = isinstance(pred, ParseFailure)
         logs.append(

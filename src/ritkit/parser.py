@@ -19,6 +19,7 @@ Grammar (everything else is diagnosed and skipped):
 
 Malformed rule blocks produce one error diagnostic each and are skipped;
 unparseable script statements produce a warning and the rule is kept.
+`if` blocks nested deeper than MAX_IF_DEPTH make the rule block malformed.
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ from .lexer import Token, TokenKind, is_keyword, rule_block_starts, tokenize
 from .source import SourceFile
 
 _ACTION_CALLS = {"sendcommand": ActionKind.SEND_COMMAND, "postupdate": ActionKind.POST_UPDATE}
+
+# Each nesting level costs three stack frames of the recursive descent, so
+# this stays well under the interpreter's recursion limit.
+MAX_IF_DEPTH = 100
 
 
 class _BlockError(Exception):
@@ -77,6 +82,7 @@ class _BlockParser:
         self.trigger_n = 0
         self.condition_n = 0
         self.action_n = 0
+        self.if_depth = 0
 
     # -- cursor helpers ----------------------------------------------------
 
@@ -389,6 +395,8 @@ class _BlockParser:
 
     def _parse_if(self, out: list[GuardedAction], guards: tuple[Condition, ...]) -> None:
         if_tok = self.take()
+        if self.if_depth >= MAX_IF_DEPTH:
+            raise _BlockError(f"if blocks nested deeper than {MAX_IF_DEPTH} levels", if_tok)
         try:
             self.expect_kind(TokenKind.LPAREN, "'(' after if")
             cond_toks = self._take_until_rparen(if_tok)
@@ -399,12 +407,14 @@ class _BlockParser:
             self._skip_if_scope(if_tok)
             return
         merged = guards + tuple(new_conds)
+        self.if_depth += 1
         nxt = self.peek()
         if nxt is not None and nxt.kind is TokenKind.LBRACE:
             self.take()
             self._parse_statements(out, merged, min_col=None, brace=True)
         else:
             self._parse_statements(out, merged, min_col=if_tok.col, brace=False)
+        self.if_depth -= 1
 
     def _take_until_rparen(self, opener: Token) -> list[Token]:
         depth = 1

@@ -87,6 +87,27 @@ class TestMutateAndEvalCommands:
         assert code == 0
         assert "100.00%" in out
 
+    def test_eval_missing_instance_file_is_fatal(self, capsys, corpus):
+        records = [json.loads(line) for line in (corpus / "manifest.jsonl").read_text().splitlines()]
+        Path(records[3]["output_path"]).unlink()
+        code, out, err = run_cli(capsys, "eval", "--manifest", str(corpus / "manifest.jsonl"), "--predictor", "detector")
+        assert code == 2 and out == ""
+        assert err.startswith("error: FileNotFoundError: ") and err.count("\n") == 1
+
+    def test_eval_detector_miss_is_not_a_parse_failure(self, capsys, tmp_path):
+        # Strict matching misses every postUpdate cascade variant.
+        out_dir = tmp_path / "pu"
+        code, _, _ = run_cli(
+            capsys, "mutate", str(BENIGN), "--out-dir", str(out_dir), "--post-update-cascades", "--operators", "STC,WTC"
+        )
+        assert code == 0
+        code, out, _ = run_cli(
+            capsys, "eval", "--manifest", str(out_dir / "manifest.jsonl"), "--predictor", "detector",
+            "--taxonomy", "three", "--scoring", "single",
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "samples: 12, parse failures: 0" and "0.00%" in out
+
     def test_eval_prediction_file_and_orphans(self, capsys, corpus, tmp_path):
         manifest = corpus / "manifest.jsonl"
         records = [json.loads(line) for line in manifest.read_text().splitlines()]
@@ -326,13 +347,13 @@ class TestExitCodeContract:
         run_cli(capsys, "detect", str(DATA / "hybrid_mixed.rules"), "--format", "structured", "--out", str(path))
         return path
 
-    def test_deep_nesting_is_fatal_not_findings(self, capsys, tmp_path):
+    def test_deep_nesting_is_diagnosed_not_fatal(self, capsys, tmp_path):
         rules = tmp_path / "deep.rules"
         body = "    if (X == ON) {\n" * 500 + "    sendCommand(Y, ON)\n" + "    }\n" * 500
         rules.write_text(f'rule "deep"\nwhen\n    System started\nthen\n{body}end\n', encoding="utf-8")
         code, out, err = run_cli(capsys, "detect", str(rules))
-        assert code == 2 and out == ""
-        assert err.startswith("error: RecursionError: ") and err.count("\n") == 1
+        assert code == 0 and "THREATS DETECTED: 0" in out
+        assert err == f"{rules}:105:5: error: rule block skipped: if blocks nested deeper than 100 levels\n"
 
     def test_table_stub_without_entry_is_fatal(self, capsys, tmp_path, report_path):
         table = tmp_path / "table.json"

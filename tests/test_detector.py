@@ -4,22 +4,19 @@ import random
 from collections import Counter
 
 import oracle
-from conftest import parse_text
+from conftest import DATA_DIR, parse_text
 
-from ritkit.detector import (
-    CoarseCategory,
-    DetectorConfig,
-    FineCategory,
-    aggregate,
-    classify_action_contradiction,
-    classify_condition_cascade,
-    classify_trigger_cascade,
-    detect_file,
-    detect_pair,
-)
+import ritkit.detector
+from ritkit.detector import CoarseCategory, DetectorConfig, FineCategory, aggregate, detect_file, detect_pair
 from ritkit.ir import renumber
+from ritkit.report import render_structured, render_text
 
 LENIENT = DetectorConfig(strict_event_matching=False)
+
+
+def family(findings, coarse, rule_a=None):
+    """The findings of one family, optionally only those with this rule_a."""
+    return [f for f in findings if f.coarse is coarse and (rule_a is None or f.rule_a.id == rule_a.id)]
 
 
 class TestTaxonomyFixedPoints:
@@ -82,8 +79,8 @@ class TestActionContradiction:
 
     def test_canonical_rule_order(self, sprinkler_pair):
         a, b = sprinkler_pair.rules
-        forward = classify_action_contradiction(a, b)
-        backward = classify_action_contradiction(b, a)
+        forward = family(detect_pair(a, b), CoarseCategory.AC)
+        backward = family(detect_pair(b, a), CoarseCategory.AC)
         assert forward == backward
         assert forward[0].rule_a.id == "r1"
 
@@ -108,8 +105,9 @@ class TestTriggerCascade:
 
     def test_cascade_is_directional(self, morning_pair):
         a, b = morning_pair.rules
-        assert classify_trigger_cascade(a, b)
-        assert not classify_trigger_cascade(b, a)
+        findings = detect_pair(a, b)
+        assert family(findings, CoarseCategory.TC, a)
+        assert not family(findings, CoarseCategory.TC, b)
 
     def test_unsatisfiable_guards_yield_no_cascade_at_all(self):
         # A cascade edge whose guard conjunction cannot hold is dropped
@@ -121,7 +119,7 @@ class TestTriggerCascade:
             "    if (gate == OFF) {\n        sendCommand(Door_Lock, OFF)\n    }\nend\n"
         )
         a, b = rs.rules
-        assert classify_trigger_cascade(a, b) == []
+        assert family(detect_pair(a, b), CoarseCategory.TC, a) == []
 
 
 class TestConditionCascade:
@@ -140,14 +138,59 @@ class TestConditionCascade:
             'rule "plain"\nwhen\n    System started\nthen\n    sendCommand(y, ON)\nend\n'
         )
         a, b = rs.rules
-        assert classify_condition_cascade(a, b) == []
+        assert family(detect_pair(a, b), CoarseCategory.CC, a) == []
 
     def test_shared_guard_yields_single_finding(self, fire_alarm_pair):
         # Two actions behind one if produce one finding keyed on the guard set.
         a, b = fire_alarm_pair.rules
-        findings = classify_condition_cascade(a, b)
+        findings = family(detect_pair(a, b), CoarseCategory.CC, a)
         assert len(findings) == 1
         assert findings[0].category is FineCategory.SCC
+
+
+class TestSinglePass:
+    def test_crosswise_overlap_evidence_matches_golden(self, golden_dir):
+        # Each direction lists its own rule's overlapping triggers first, in
+        # trigger order, and the other rule's in order of first overlap.
+        text = (DATA_DIR / "evidence_order.rules").read_text(encoding="utf-8")
+        report = detect_file(parse_text(text, "evidence_order.rules"))
+        assert [f.category for f in report.findings] == [FineCategory.WAC, FineCategory.SCC]
+        assert render_text(report) == (golden_dir / "evidence_order.txt").read_text(encoding="utf-8")
+        assert render_structured(report) == (golden_dir / "evidence_order.json").read_text(encoding="utf-8")
+
+    @staticmethod
+    def _count_calls(monkeypatch, name):
+        calls = []
+        original = getattr(ritkit.detector, name)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(ritkit.detector, name, counted)
+        return calls
+
+    def test_overlap_scanned_once_and_evidence_built_only_for_findings(self, monkeypatch):
+        overlaps = self._count_calls(monkeypatch, "triggers_overlap")
+        renders = self._count_calls(monkeypatch, "trigger_text")
+        rules = "".join(
+            f'rule "r{k}"\nwhen\n' + " or\n".join(f"    Item In_{k}_{t} changed" for t in range(k % 3 + 1))
+            + f"\nthen\n    if (Guard_{k} == ON) {{\n        sendCommand(Out_{k}, ON)\n    }}\nend\n"
+            for k in range(6)
+        )
+        rs = parse_text(rules)
+        assert detect_file(rs).total == 0
+        sizes = [len(r.triggers) for r in rs.rules]
+        assert len(overlaps) == sum(sizes[i] * sizes[j] for i in range(6) for j in range(i + 1, 6)) == 58
+        assert renders == []
+
+    def test_each_direction_renders_its_trigger_evidence_once(self, monkeypatch):
+        overlaps = self._count_calls(monkeypatch, "triggers_overlap")
+        renders = self._count_calls(monkeypatch, "trigger_text")
+        text = (DATA_DIR / "evidence_order.rules").read_text(encoding="utf-8")
+        assert detect_file(parse_text(text)).total == 2
+        assert len(overlaps) == 4
+        assert len(renders) == 8  # two triggers per rule, once per direction
 
 
 class TestAggregate:

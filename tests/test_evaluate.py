@@ -157,13 +157,12 @@ class TestRunExperiment:
         save_logs(logs, path)
         assert metrics_from_logs(load_logs(path)) == row
 
-    def test_predictor_exception_scores_incorrect(self):
+    def test_predictor_exception_propagates(self):
         def broken(entry):
             raise OSError("unreadable instance")
 
-        row, logs = run_experiment(MULTI, self._dataset(), broken)
-        assert row.overall == 0
-        assert row.parse_failures == len(logs)
+        with pytest.raises(OSError, match="unreadable instance"):
+            run_experiment(MULTI, self._dataset(), broken)
 
     def test_experiment_cells(self):
         assert EXPERIMENT_CELLS["A"].taxonomy == "six" and EXPERIMENT_CELLS["A"].multi_response
@@ -193,6 +192,13 @@ class TestRunExperiment:
         instance = GroundTruthEntry("w1", str(rules), "r1", "r2", "SAC")
         assert detector_predictor("six")(instance) == ("SAC",)
         assert detector_predictor("three")(instance) == ("AC",)
+
+        benign = tmp_path / "benign.rules"
+        benign.write_text('rule "a"\nwhen\n    System started\nthen\n    sendCommand(X, ON)\nend\n', encoding="utf-8")
+        miss = GroundTruthEntry("w2", str(benign), "r1", "r2", "SAC")
+        assert detector_predictor("six")(miss) == ()
+        row, logs = run_experiment(MULTI, [miss], detector_predictor("six"))
+        assert row.parse_failures == 0 and not logs[0].correct
 
         blind = backend_predictor(PromptTemplate(0, "six", True), StubBackend(constant="SAC"))
         assert blind(instance) == ("SAC",)

@@ -6,7 +6,7 @@ from conftest import parse_fixture, parse_text
 
 from ritkit.ir import ActionKind, ConditionKind, TriggerKind, ValueKind
 from ritkit.lexer import TokenKind, tokenize
-from ritkit.parser import parse_ruleset
+from ritkit.parser import MAX_IF_DEPTH, parse_ruleset
 from ritkit.source import SourceFile
 
 
@@ -226,6 +226,21 @@ class TestScriptBlock:
         )
         assert [ga.action.item for ga in gas] == ["Door_Lock", "Garage_Door"]
         assert all(ga.guards[0].kind is ConditionKind.TIME_WINDOW for ga in gas)
+
+    def test_nesting_is_capped_with_a_diagnostic(self):
+        def nested(depth: int) -> str:
+            body = "".join(f"if (X{k} == ON) {{\n" for k in range(depth)) + "sendCommand(Y, ON)\n" + "}\n" * depth
+            return f'rule "deep"\nwhen\n    System started\nthen\n{body}end\n'
+
+        gas = parse_text(nested(MAX_IF_DEPTH)).rules[0].guarded_actions
+        assert len(gas) == 1 and len(gas[0].guards) == MAX_IF_DEPTH
+        good = 'rule "good"\nwhen\n    System started\nthen\n    sendCommand(Z, ON)\nend\n'
+        rs = parse_text(nested(MAX_IF_DEPTH + 1) + good)
+        assert [r.name for r in rs.rules] == ["good"]
+        assert [(d.code, d.message) for d in rs.diagnostics] == [
+            ("rule-block", f"rule block skipped: if blocks nested deeper than {MAX_IF_DEPTH} levels")
+        ]
+        assert rs.diagnostics[0].loc.start_line == 5 + MAX_IF_DEPTH
 
 
 class TestInvariants:
