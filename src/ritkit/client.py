@@ -15,9 +15,10 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 RETRYABLE_STATUSES = {429, 503}
 
@@ -133,6 +134,8 @@ def complete(
     limiter: TokenBucket | None = None,
 ) -> tuple[str, CallRecord]:
     """One adjudication call; raises BackendError once attempts run out."""
+    import requests  # here, so that offline subcommands never load the HTTP stack
+
     record = CallRecord(request_id=next(_request_counter))
     own_session = session is None
     session = session or requests.Session()

@@ -1,6 +1,11 @@
 """Pairwise classification of rules into the six threat categories.
 
-For every unordered rule pair the detector checks three families:
+`detect_file` indexes each rule's items once per ruleset: a rule writes its
+action items and reads its trigger items and the items its item-comparison
+conditions test. It visits a rule pair only when one rule writes an item
+that the other writes or reads, in file order; every relation below needs
+an action of one rule on an item of the other, so no other pair can yield a
+finding. For each visited pair the detector checks three families:
 
 * action contradiction (WAC/SAC): contradictory actions, overlapping
   triggers, co-satisfiable guards; strong when both guard sets are empty;
@@ -20,11 +25,22 @@ are always merged with its rule's when-clause conditions.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable
 
-from .ir import Action, Condition, Rule, RuleSet, action_text, condition_text, effective_guards, trigger_text
+from .ir import (
+    Action,
+    Condition,
+    ConditionKind,
+    Rule,
+    RuleSet,
+    action_text,
+    condition_text,
+    effective_guards,
+    trigger_text,
+)
 from .semantics import (
     action_enables_condition,
     action_matches_trigger,
@@ -280,11 +296,41 @@ def detect_pair(a: Rule, b: Rule, config: DetectorConfig = DetectorConfig()) -> 
     return findings + cascades
 
 
+def _item_neighbours(rules: tuple[Rule, ...]) -> list[set[int]]:
+    """For each rule position, the positions of the rules it shares an item
+    with: one of the two writes an item that the other writes or reads.
+
+    Only such pairs can yield a finding: `actions_contradict`,
+    `action_matches_trigger` and `action_enables_condition` all compare
+    `action.item` with an item of the other rule.
+    """
+    writers: dict[str, set[int]] = defaultdict(set)
+    readers: dict[str, set[int]] = defaultdict(set)
+    for k, rule in enumerate(rules):
+        for ga in rule.guarded_actions:
+            writers[ga.action.item].add(k)
+        for trig in rule.triggers:
+            if trig.item is not None:
+                readers[trig.item].add(k)
+        for cond in rule.all_conditions():
+            if cond.kind is ConditionKind.ITEM_COMPARISON:
+                readers[cond.item].add(k)
+    neighbours: list[set[int]] = [set() for _ in rules]
+    for item, written_by in writers.items():
+        read_by = readers.get(item, set())
+        touching = written_by | read_by
+        for k in written_by:
+            neighbours[k] |= touching
+        for k in read_by:
+            neighbours[k] |= written_by
+    return neighbours
+
+
 def detect_file(ruleset: RuleSet, config: DetectorConfig = DetectorConfig()) -> FindingReport:
-    """Classify every unordered distinct rule pair in file order."""
+    """Classify every unordered pair of rules sharing an item, in file order."""
     findings: list[Finding] = []
     rules = ruleset.rules
-    for i in range(len(rules)):
-        for j in range(i + 1, len(rules)):
+    for i, neighbours in enumerate(_item_neighbours(rules)):
+        for j in sorted(k for k in neighbours if k > i):
             findings.extend(detect_pair(rules[i], rules[j], config))
     return FindingReport(file=ruleset.file_id, findings=tuple(findings))

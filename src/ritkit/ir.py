@@ -11,6 +11,7 @@ import re
 from dataclasses import dataclass, replace
 from decimal import Decimal, InvalidOperation
 from enum import Enum
+from functools import cached_property
 
 
 class ValueKind(Enum):
@@ -187,6 +188,10 @@ class Rule:
 
     def all_conditions(self) -> tuple[Condition, ...]:
         """Rule-level conditions plus every distinct action guard, in order."""
+        return self._all_conditions
+
+    @cached_property
+    def _all_conditions(self) -> tuple[Condition, ...]:
         seen: dict[str, Condition] = {}
         for cond in self.conditions:
             seen.setdefault(cond.id, cond)

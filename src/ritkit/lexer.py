@@ -77,28 +77,26 @@ _GROUP_KINDS = {
     "rbrace": TokenKind.RBRACE,
     "comma": TokenKind.COMMA,
     "dot": TokenKind.DOT,
+    "unterminated_string": TokenKind.ERROR,
+    "stray": TokenKind.ERROR,
 }
 
 
 def tokenize(source: SourceFile) -> list[Token]:
     """Lex the whole file. Never raises; problems become ERROR tokens."""
     tokens: list[Token] = []
-    pos = 0
-    content = source.content
-    while pos < len(content):
-        m = _TOKEN_RE.match(content, pos)
-        assert m is not None  # the stray group matches any character
-        group = m.lastgroup
+    line, line_start = 1, 0  # the current line and the offset it starts at
+    for m in _TOKEN_RE.finditer(source.content):  # gapless: the stray group matches any character
+        kind = _GROUP_KINDS.get(m.lastgroup)
         text = m.group()
-        if group in ("ws", "line_comment", "block_comment", "unterminated_comment"):
-            pos = m.end()
+        pos = m.start()
+        if kind is None:  # whitespace or a comment, the only lexemes spanning lines
+            breaks = text.count("\n")
+            if breaks:
+                line += breaks
+                line_start = pos + text.rindex("\n") + 1
             continue
-        line, col = source.position(pos)
-        if group in ("unterminated_string", "stray"):
-            tokens.append(Token(TokenKind.ERROR, text, line, col, pos))
-        else:
-            tokens.append(Token(_GROUP_KINDS[group], text, line, col, pos))
-        pos = m.end()
+        tokens.append(Token(kind, text, line, pos - line_start + 1, pos))
     return tokens
 
 

@@ -17,6 +17,7 @@ import json
 import os
 import random
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -70,6 +71,11 @@ class Seed:
         if ruleset.errors():
             raise MutationError(f"seed {path} does not parse cleanly")
         return Seed(path, text, ruleset)
+
+    @cached_property
+    def finding_keys(self) -> frozenset[tuple]:
+        """Identities of the seed's own findings, detected once per seed."""
+        return frozenset(_finding_identity(f) for f in detect_file(self.ruleset).findings)
 
 
 @dataclass(frozen=True)
@@ -537,10 +543,9 @@ def _validate(
     if len(mutant_rs.rules) != len(seed.ruleset.rules):
         raise MutationError("mutant changed the number of rules")
 
-    seed_keys = {_finding_identity(f) for f in detect_file(seed.ruleset).findings}
     strict_report = detect_file(mutant_rs, DetectorConfig(strict_event_matching=True))
     for f in strict_report.findings:
-        if _finding_identity(f) not in seed_keys and {f.rule_a.id, f.rule_b.id} != set(pair):
+        if _finding_identity(f) not in seed.finding_keys and {f.rule_a.id, f.rule_b.id} != set(pair):
             raise MutationError(
                 f"injection leaked outside the pair: {f.category.value} on ({f.rule_a.id}, {f.rule_b.id})"
             )

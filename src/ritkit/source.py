@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -14,11 +16,8 @@ class SourceFile:
 
     @staticmethod
     def from_text(content: str, path: str = "<memory>") -> "SourceFile":
-        offsets = [0]
-        for i, ch in enumerate(content):
-            if ch == "\n":
-                offsets.append(i + 1)
-        return SourceFile(path=path, content=content, line_offsets=tuple(offsets))
+        offsets = (0, *(m.end() for m in re.finditer("\n", content)))
+        return SourceFile(path=path, content=content, line_offsets=offsets)
 
     @staticmethod
     def from_path(path: str | Path) -> "SourceFile":
@@ -27,14 +26,8 @@ class SourceFile:
 
     def position(self, offset: int) -> tuple[int, int]:
         """(1-based line, 1-based column) for a character offset."""
-        lo, hi = 0, len(self.line_offsets) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.line_offsets[mid] <= offset:
-                lo = mid
-            else:
-                hi = mid - 1
-        return (lo + 1, offset - self.line_offsets[lo] + 1)
+        line = bisect_right(self.line_offsets, offset)
+        return (line, offset - self.line_offsets[line - 1] + 1)
 
     @property
     def line_count(self) -> int:

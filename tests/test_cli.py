@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -221,6 +224,14 @@ class TestConfig:
         lenient_code, out, _ = run_cli(capsys, "detect", str(rules), "--config", str(config))
         assert strict_code == 0 and lenient_code == 1
         assert "STC" in out
+
+
+class TestStartUp:
+    def test_offline_subcommands_do_not_load_the_http_stack(self):
+        src = str(Path(__file__).parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import ritkit.cli, sys; sys.exit('requests' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 class TestHelp:

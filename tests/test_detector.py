@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import importlib.util
 import random
 from collections import Counter
+from pathlib import Path
 
 import oracle
+import pytest
 from conftest import DATA_DIR, parse_text
 
 import ritkit.detector
@@ -12,6 +15,17 @@ from ritkit.ir import renumber
 from ritkit.report import render_structured, render_text
 
 LENIENT = DetectorConfig(strict_event_matching=False)
+
+
+def _load_generator():
+    """The benchmark's seeded `.rules` generator, loaded from `bench/gen.py`."""
+    spec = importlib.util.spec_from_file_location("bench_gen", Path(__file__).parent.parent / "bench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+GENERATOR = _load_generator()
 
 
 def family(findings, coarse, rule_a=None):
@@ -179,10 +193,14 @@ class TestSinglePass:
             for k in range(6)
         )
         rs = parse_text(rules)
-        assert detect_file(rs).total == 0
+        assert [f for i, a in enumerate(rs.rules) for b in rs.rules[i + 1 :] for f in detect_pair(a, b)] == []
         sizes = [len(r.triggers) for r in rs.rules]
         assert len(overlaps) == sum(sizes[i] * sizes[j] for i in range(6) for j in range(i + 1, 6)) == 58
         assert renders == []
+        # No two rules share an item, so detect_file visits no pair at all.
+        visited = self._count_calls(monkeypatch, "detect_pair")
+        assert detect_file(rs).total == 0
+        assert visited == []
 
     def test_each_direction_renders_its_trigger_evidence_once(self, monkeypatch):
         overlaps = self._count_calls(monkeypatch, "triggers_overlap")
@@ -191,6 +209,41 @@ class TestSinglePass:
         assert detect_file(parse_text(text)).total == 2
         assert len(overlaps) == 4
         assert len(renders) == 8  # two triggers per rule, once per direction
+
+
+class TestItemIndex:
+    def test_visits_exactly_the_pairs_sharing_a_written_item(self, monkeypatch):
+        text = "".join(
+            f'rule "{name}"\nwhen\n    Item {trigger} changed\nthen\n    {body}\nend\n'
+            for name, trigger, body in (
+                ("writes X", "A", "sendCommand(X, ON)"),
+                ("fired by X", "X", "sendCommand(B, ON)"),
+                ("guarded by X", "A", "if (X == ON) {\n        sendCommand(C, ON)\n    }"),
+                ("also writes X", "A", "sendCommand(X, OFF)"),
+                ("reads only A", "A", "sendCommand(D, ON)"),
+            )
+        )
+        rs = parse_text(text)
+        visited = TestSinglePass._count_calls(monkeypatch, "detect_pair")
+        detect_file(rs)
+        # Write-write (1, 4), write-trigger (1, 2) and (2, 4), write-condition
+        # (1, 3) and (3, 4); a shared read of A alone pairs nothing.
+        assert [(a.index, b.index) for a, b, _ in visited] == [(1, 2), (1, 3), (1, 4), (2, 4), (3, 4)]
+
+    @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+    @pytest.mark.parametrize("n_rules, n_items, seeds", [(60, 600, range(1, 6)), (200, 2000, range(1, 3))])
+    def test_pruned_detection_matches_the_oracle(self, monkeypatch, n_rules, n_items, seeds, strict):
+        # Generated files over a wide vocabulary, where most pairs share no
+        # item and the oracle, which enumerates every pair, checks the skips.
+        visited = TestSinglePass._count_calls(monkeypatch, "detect_pair")
+        for seed in seeds:
+            rs = parse_text(GENERATOR.generate_rules(seed, n_rules, n_items))
+            assert len(rs.rules) == n_rules and not rs.diagnostics
+            visited.clear()
+            want = Counter(oracle.oracle_detect_file(rs, strict))
+            got = Counter(oracle.detector_identities(detect_file(rs, DetectorConfig(strict))))
+            assert got == want and want
+            assert len(visited) < n_rules * (n_rules - 1) // 20
 
 
 class TestAggregate:
