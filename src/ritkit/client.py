@@ -1,9 +1,19 @@
-"""Adjudicator backends: a chat-completions HTTP client and offline stubs.
+"""Adjudicator backends: a chat-completions HTTP client and a stub adjudicator.
 
-The HTTP client retries 429/503 responses, transport timeouts and blank or
-malformed bodies with exponential backoff plus bounded jitter; other 4xx
-statuses terminate immediately. API keys come only from environment
-variables.
+The client needs nothing outside the standard library. Each `HttpBackend`
+talks to its endpoint over one kept-alive `http.client` connection: plain
+for `http://` endpoints, TLS verified against the system CA store for
+`https://` ones. The connection opens on the first call, serves every later
+call and reopens when the server closes it or it drops; a request that a
+reused connection loses before any status line arrives is sent once more on
+a fresh connection, within the same attempt. `HTTP_PROXY`, `HTTPS_PROXY`,
+`ALL_PROXY` and `NO_PROXY` are honoured. The HTTP modules load on the first
+call, so offline subcommands never import them.
+
+The client retries 429/503 responses, transport timeouts, refused or dropped
+connections and blank or malformed bodies with exponential backoff plus
+bounded jitter; other 4xx statuses terminate immediately. API keys come only
+from environment variables.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
-    import requests
+    import http.client
 
 RETRYABLE_STATUSES = {429, 503}
 
@@ -107,12 +117,91 @@ class TokenBucket:
             sleep(wait)
 
 
-def _extract_content(body: str) -> tuple[str | None, str | None]:
+class Connection:
+    """One kept-alive connection to a chat-completions endpoint.
+
+    Opens on the first `post`, is reused by every later one and reopens
+    after the server closes it or it drops. A request goes through the proxy
+    that the environment names for the endpoint's scheme, unless `NO_PROXY`
+    exempts its host: `http` requests carry the absolute URI to the proxy,
+    `https` requests tunnel through it with CONNECT.
+    """
+
+    def __init__(self, endpoint: str, timeout: float) -> None:
+        import base64
+        import http.client  # here, so that offline subcommands never load the HTTP stack
+        import ssl
+        import urllib.parse
+        import urllib.request
+
+        url = urllib.parse.urlsplit(endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"backend endpoint is not an http:// or https:// URL: {endpoint!r}")
+        proxy = None
+        if not urllib.request.proxy_bypass(url.hostname):
+            proxies = urllib.request.getproxies()
+            proxy = proxies.get(url.scheme) or proxies.get("all")
+        host, port, proxy_auth = url.hostname, url.port, {}
+        if proxy:
+            via = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            if via.scheme != "http" or not via.hostname:
+                raise ValueError(f"proxy for {endpoint!r} is not an http:// URL: {proxy!r}")
+            if via.username is not None:
+                userinfo = f"{urllib.parse.unquote(via.username)}:{urllib.parse.unquote(via.password or '')}"
+                proxy_auth["Proxy-Authorization"] = "Basic " + base64.b64encode(userinfo.encode()).decode()
+            host, port = via.hostname, via.port
+        self.target = urllib.parse.urlunsplit(("", "", url.path or "/", url.query, ""))
+        self.headers: dict[str, str] = {}  # added to every request
+        self.conn: http.client.HTTPConnection
+        if url.scheme == "https":
+            self.conn = http.client.HTTPSConnection(host, port, timeout=timeout, context=ssl.create_default_context())
+            if proxy:
+                self.conn.set_tunnel(url.hostname, url.port, headers=proxy_auth)
+        else:
+            self.conn = http.client.HTTPConnection(host, port, timeout=timeout)
+            if proxy:
+                self.target, self.headers = urllib.parse.urlunsplit(url._replace(fragment="")), proxy_auth
+
+    def post(self, body: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+        """Status and body of one POST of `body`.
+
+        A request that a reused connection loses before the status line
+        (the server closed it while idle) is sent once more on a fresh
+        connection; the same loss on a fresh connection raises. Any other
+        failure closes the connection, so the next call starts afresh.
+        """
+        headers = {**headers, **self.headers}
+        try:
+            reused = self.conn.sock is not None
+            try:
+                response = self._send(body, headers)
+            except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected is a ConnectionResetError
+                if not reused:
+                    raise
+                self.conn.close()
+                response = self._send(body, headers)
+            return response.status, response.read()
+        except BaseException:
+            self.conn.close()
+            raise
+
+    def _send(self, body: bytes, headers: dict[str, str]) -> http.client.HTTPResponse:
+        # `body` is bytes, so headers and body leave in one write: a request
+        # split over two writes meets the server's delayed ACK on a kept-alive
+        # connection and stalls.
+        self.conn.request("POST", self.target, body, headers)
+        return self.conn.getresponse()
+
+    def close(self) -> None:
+        self.conn.close()
+
+
+def _extract_content(body: bytes) -> tuple[str | None, str | None]:
     """(content, error_class) from a chat-completions response body."""
     try:
         payload = json.loads(body)
         content = payload["choices"][0]["message"]["content"]
-    except (json.JSONDecodeError, KeyError, IndexError, TypeError):
+    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, IndexError, TypeError):
         return None, ERROR_MALFORMED
     if not isinstance(content, str) or not content.strip():
         return None, ERROR_BLANK
@@ -128,17 +217,21 @@ def complete(
     config: BackendConfig,
     prompt: str,
     *,
-    session: requests.Session | None = None,
+    connection: Connection | None = None,
     sleep: Callable[[float], None] = time.sleep,
     rng: random.Random | None = None,
     limiter: TokenBucket | None = None,
 ) -> tuple[str, CallRecord]:
-    """One adjudication call; raises BackendError once attempts run out."""
-    import requests  # here, so that offline subcommands never load the HTTP stack
+    """One adjudication call; raises BackendError once attempts run out.
+
+    Without a `connection` the call opens one of its own and closes it.
+    """
+    import http.client
 
     record = CallRecord(request_id=next(_request_counter))
-    own_session = session is None
-    session = session or requests.Session()
+    own_connection = connection is None
+    if connection is None:
+        connection = Connection(config.endpoint, config.timeout)
     rng = rng or random.Random()
     payload = {
         "model": config.model,
@@ -147,6 +240,7 @@ def complete(
         "top_p": config.top_p,
         "max_tokens": config.max_output_tokens,
     }
+    body = json.dumps(payload, allow_nan=False).encode("utf-8")
     headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(config.api_key_env)
     if api_key:
@@ -161,10 +255,9 @@ def complete(
             status: int | None = None
             content: str | None = None
             try:
-                response = session.post(config.endpoint, json=payload, headers=headers, timeout=config.timeout)
-                status = response.status_code
+                status, data = connection.post(body, headers)
                 if status == 200:
-                    content, error_class = _extract_content(response.text)
+                    content, error_class = _extract_content(data)
                 elif status == 429:
                     error_class = ERROR_RATE_LIMITED
                 elif status in (401, 403):
@@ -173,9 +266,9 @@ def complete(
                     error_class = ERROR_INVALID_REQUEST
                 else:
                     error_class = ERROR_UNAVAILABLE
-            except requests.Timeout:
+            except TimeoutError:
                 error_class = ERROR_TIMEOUT
-            except requests.ConnectionError:
+            except (OSError, http.client.HTTPException):
                 error_class = ERROR_UNAVAILABLE
 
             record.attempts.append(Attempt(status, time.monotonic() - start, error_class))
@@ -200,44 +293,27 @@ def complete(
             sleep(base + rng.uniform(0, base))
         raise AssertionError("unreachable")  # pragma: no cover
     finally:
-        if own_session:
-            session.close()
-
-
-# ---------------------------------------------------------------------------
-# Deterministic offline stubs
-
-
-class StubBackend:
-    """Text backend returning scripted responses, for offline pipelines."""
-
-    def __init__(self, responses: list[str] | None = None, constant: str | None = None):
-        self.responses = list(responses or [])
-        self.constant = constant
-        self.calls: list[str] = []
-
-    def complete(self, prompt: str) -> str:
-        self.calls.append(prompt)
-        if self.responses:
-            return self.responses.pop(0)
-        if self.constant is not None:
-            return self.constant
-        raise BackendError(ERROR_UNAVAILABLE, CallRecord(request_id=0))
+        if own_connection:
+            connection.close()
 
 
 class HttpBackend:
-    """Adapter giving `complete(config, prompt)` a single-argument surface."""
+    """Adapter giving `complete(config, prompt)` a single-argument surface.
 
-    def __init__(self, config: BackendConfig, **kwargs):
+    Every call goes over the backend's one kept-alive `connection`, which
+    lives as long as the backend (`connection.close()` ends it early).
+    """
+
+    def __init__(self, config: BackendConfig):
         self.config = config
-        self.kwargs = kwargs
+        self.connection = Connection(config.endpoint, config.timeout)
         limiter = None
         if config.rate_limit_per_sec:
             limiter = TokenBucket(config.rate_limit_per_sec)
         self.limiter = limiter
 
     def complete(self, prompt: str) -> str:
-        text, _ = complete(self.config, prompt, limiter=self.limiter, **self.kwargs)
+        text, _ = complete(self.config, prompt, connection=self.connection, limiter=self.limiter)
         return text
 
 

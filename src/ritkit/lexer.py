@@ -101,7 +101,10 @@ def tokenize(source: SourceFile) -> list[Token]:
 
 
 def is_keyword(token: Token, word: str) -> bool:
-    return token.kind is TokenKind.IDENT and token.text.lower() == word
+    """`token` is the identifier `word` (a lowercase keyword), in any case."""
+    text = token.text
+    # Identifiers are ASCII, so lower() keeps their length: compare that first.
+    return len(text) == len(word) and token.kind is TokenKind.IDENT and text.lower() == word
 
 
 def rule_block_starts(tokens: list[Token]) -> list[int]:
@@ -111,10 +114,9 @@ def rule_block_starts(tokens: list[Token]) -> list[int]:
     start so that every `rule "` occurrence is either parsed or diagnosed.
     """
     starts = []
-    for i, tok in enumerate(tokens):
-        if not is_keyword(tok, "rule") or i + 1 >= len(tokens):
-            continue
+    for i in range(len(tokens) - 1):
         nxt = tokens[i + 1]
-        if nxt.kind is TokenKind.STRING or (nxt.kind is TokenKind.ERROR and nxt.text.startswith('"')):
+        opens_string = nxt.kind is TokenKind.STRING or (nxt.kind is TokenKind.ERROR and nxt.text.startswith('"'))
+        if opens_string and is_keyword(tokens[i], "rule"):
             starts.append(i)
     return starts

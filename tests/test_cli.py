@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from mock_backend import MockBackendServer
 
 from ritkit.cli import build_arg_parser, main
 from ritkit.config import ConfigError, ToolConfig, load_config
@@ -227,11 +228,24 @@ class TestConfig:
 
 
 class TestStartUp:
+    SRC = str(Path(__file__).parent.parent / "src")
+    ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
     def test_offline_subcommands_do_not_load_the_http_stack(self):
-        src = str(Path(__file__).parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = "import ritkit.cli, sys; sys.exit('requests' in sys.modules)"
-        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+        code = "import ritkit.cli, sys; sys.exit('requests' in sys.modules or 'http.client' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=self.ENV, timeout=60).returncode == 0
+
+    def test_backend_call_never_loads_requests(self):
+        with MockBackendServer([(200, "WAC")], keep_alive=True) as server:
+            code = (
+                "import sys\n"
+                "from ritkit.client import BackendConfig, HttpBackend\n"
+                f"answer = HttpBackend(BackendConfig(endpoint={server.endpoint!r}, model='m')).complete('p')\n"
+                "sys.exit(answer != 'WAC' or 'requests' in sys.modules)\n"
+            )
+            result = subprocess.run([sys.executable, "-c", code], env=self.ENV, timeout=60)
+        assert result.returncode == 0
+        assert len(server.requests) == 1
 
 
 class TestHelp:

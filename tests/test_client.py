@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import base64
+import json
 import random
+import socket
+import threading
 
 import pytest
-import requests
-from mock_backend import MockBackendServer
+from mock_backend import MockBackendServer, StubBackend
 
 from ritkit.client import (
     BackendConfig,
     BackendError,
+    HttpBackend,
     StubAdjudicator,
-    StubBackend,
     TokenBucket,
     backoff_base_delay,
     complete,
@@ -106,43 +109,32 @@ class TestRetrySequences:
         monkeypatch.setenv("RITKIT_API_KEY", "sk-test")
         captured = {}
 
-        class Session:
-            def post(self, url, json=None, headers=None, timeout=None):
+        class Connection:
+            def post(self, body, headers):
                 captured.update(headers)
-                raise requests.ConnectionError("stop here")
-
-            def close(self):
-                pass
+                raise ConnectionRefusedError("stop here")
 
         with pytest.raises(BackendError):
-            complete(config("http://example.invalid", max_retries=0), "p", session=Session(), sleep=NO_SLEEP)
+            complete(config("http://example.invalid", max_retries=0), "p", connection=Connection(), sleep=NO_SLEEP)
         assert captured.get("Authorization") == "Bearer sk-test"
 
 
-class _TimeoutSession:
+class _TimeoutConnection:
     def __init__(self, failures: int, text: str):
         self.failures = failures
         self.text = text
 
-    def post(self, url, json=None, headers=None, timeout=None):
+    def post(self, body, headers):
         if self.failures > 0:
             self.failures -= 1
-            raise requests.Timeout("simulated")
-
-        class Response:
-            status_code = 200
-            text = f'{{"choices": [{{"message": {{"content": "{self.text}"}}}}]}}'
-
-        return Response()
-
-    def close(self):
-        pass
+            raise TimeoutError("simulated")
+        return 200, json.dumps({"choices": [{"message": {"content": self.text}}]}).encode()
 
 
 class TestBackoff:
     def test_timeouts_are_retried(self):
         text, record = complete(
-            config("http://example.invalid"), "p", session=_TimeoutSession(2, "ok"), sleep=NO_SLEEP
+            config("http://example.invalid"), "p", connection=_TimeoutConnection(2, "ok"), sleep=NO_SLEEP
         )
         assert text == "ok"
         assert [a.error_class for a in record.attempts] == ["timeout", "timeout", None]
@@ -151,13 +143,125 @@ class TestBackoff:
         delays: list[float] = []
         cfg = config("http://example.invalid", max_retries=4)
         with pytest.raises(BackendError):
-            complete(cfg, "p", session=_TimeoutSession(99, "x"), sleep=delays.append, rng=random.Random(5))
+            complete(cfg, "p", connection=_TimeoutConnection(99, "x"), sleep=delays.append, rng=random.Random(5))
         assert len(delays) == 4  # no sleep after the final attempt
         for attempt, delay in enumerate(delays):
             base = backoff_base_delay(cfg, attempt)
             assert base <= delay <= 2 * base
         for attempt in range(1, len(delays)):
             assert delays[attempt] >= backoff_base_delay(cfg, attempt - 1)
+
+
+def closed_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+@pytest.fixture
+def no_proxy_environment(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    return monkeypatch
+
+
+class TestTransport:
+    def test_calls_through_one_backend_share_one_connection(self):
+        with MockBackendServer([(200, f"answer {i}") for i in range(5)], keep_alive=True) as server:
+            backend = HttpBackend(config(server.endpoint))
+            answers = [backend.complete(f"prompt {i}") for i in range(5)]
+            backend.connection.close()
+        assert answers == [f"answer {i}" for i in range(5)]
+        assert server.connections == 1
+        assert [r["messages"][0]["content"] for r in server.requests] == [f"prompt {i}" for i in range(5)]
+
+    def test_connection_dropped_while_idle_is_reopened_within_the_attempt(self):
+        sleeps: list[float] = []
+        with MockBackendServer([(200, "WAC")] * 4, keep_alive=True, drop_after_reply=True) as server:
+            backend = HttpBackend(config(server.endpoint))
+            records = [complete(backend.config, "p", connection=backend.connection, sleep=sleeps.append)[1]
+                       for _ in range(4)]
+            backend.connection.close()
+        assert [[a.error_class for a in r.attempts] for r in records] == [[None]] * 4
+        assert sleeps == []
+        assert server.connections == 4
+        assert len(server.requests) == 4
+
+    def test_fresh_connection_dropped_before_a_reply_is_unavailable(self):
+        accepted = []
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen()
+            listener.settimeout(5)
+
+            def hang_up() -> None:
+                for _ in range(2):
+                    conn, _ = listener.accept()
+                    conn.recv(65536)
+                    conn.close()
+                    accepted.append(conn)
+
+            thread = threading.Thread(target=hang_up, daemon=True)
+            thread.start()
+            port = listener.getsockname()[1]
+            with pytest.raises(BackendError) as exc_info:
+                complete(config(f"http://127.0.0.1:{port}/v1", max_retries=1), "p", sleep=NO_SLEEP)
+            thread.join(5)
+        assert not thread.is_alive()
+        assert exc_info.value.error_class == "unavailable"
+        assert [(a.status, a.error_class) for a in exc_info.value.record.attempts] == [(None, "unavailable")] * 2
+        assert len(accepted) == 2  # no resend on a connection that was fresh
+
+    def test_server_slower_than_the_timeout_times_out_and_is_retried(self):
+        sleeps: list[float] = []
+        with MockBackendServer([("slow", 1.0, "late"), (200, "WAC")], keep_alive=True) as server:
+            text, record = complete(config(server.endpoint, timeout=0.2), "p", sleep=sleeps.append)
+        assert text == "WAC"
+        assert [(a.status, a.error_class) for a in record.attempts] == [(None, "timeout"), (200, None)]
+        assert len(sleeps) == 1
+
+    def test_closed_port_is_unavailable(self):
+        with pytest.raises(BackendError) as exc_info:
+            complete(config(f"http://127.0.0.1:{closed_port()}/v1", max_retries=1), "p", sleep=NO_SLEEP)
+        assert exc_info.value.error_class == "unavailable"
+        assert [(a.status, a.error_class) for a in exc_info.value.record.attempts] == [(None, "unavailable")] * 2
+
+    def test_non_utf8_body_is_malformed(self):
+        script = [("raw", b'{"choices": [{"message": {"content": "\xff"}}]}'), (200, "WAC")]
+        with MockBackendServer(script) as server:
+            text, record = complete(config(server.endpoint), "p", sleep=NO_SLEEP)
+        assert text == "WAC"
+        assert [a.error_class for a in record.attempts] == ["malformed-response", None]
+
+    def test_http_proxy_gets_the_absolute_uri(self, no_proxy_environment):
+        with MockBackendServer([(200, "WAC")]) as server:
+            host, port = server.server.server_address
+            no_proxy_environment.setenv("HTTP_PROXY", f"http://user:pa%20ss@{host}:{port}")
+            text, _ = complete(config("http://example.invalid/v1/chat/completions?x=1"), "p", sleep=NO_SLEEP)
+        assert text == "WAC"
+        assert server.paths == ["http://example.invalid/v1/chat/completions?x=1"]
+        assert server.request_headers[0]["Host"] == "example.invalid"
+        assert server.request_headers[0]["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pa ss").decode()
+
+    def test_https_endpoint_tunnels_through_its_proxy(self, no_proxy_environment):
+        with MockBackendServer([]) as server:
+            host, port = server.server.server_address
+            no_proxy_environment.setenv("HTTPS_PROXY", f"http://user:pw@{host}:{port}")
+            with pytest.raises(BackendError) as exc_info:
+                complete(config("https://example.invalid/v1", max_retries=0), "p", sleep=NO_SLEEP)
+        assert exc_info.value.error_class == "unavailable"  # the mock speaks no TLS after CONNECT
+        assert server.paths == ["example.invalid:443"]
+        assert server.request_headers[0]["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pw").decode()
+        assert server.requests == []
+
+    def test_no_proxy_bypasses_the_proxy(self, no_proxy_environment):
+        no_proxy_environment.setenv("HTTP_PROXY", f"http://127.0.0.1:{closed_port()}")
+        no_proxy_environment.setenv("NO_PROXY", "127.0.0.1")
+        with MockBackendServer([(200, "WAC")]) as server:
+            text, _ = complete(config(server.endpoint), "p", sleep=NO_SLEEP)
+        assert text == "WAC"
+        assert server.paths == ["/v1/chat/completions"]
 
 
 class TestTokenBucket:

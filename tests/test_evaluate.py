@@ -5,8 +5,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from mock_backend import StubBackend
 
-from ritkit.client import StubBackend
 from ritkit.detector import FineCategory, finding_key
 from ritkit.evaluate import (
     EXPERIMENT_CELLS,

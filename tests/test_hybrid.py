@@ -4,8 +4,9 @@ import json
 
 import pytest
 from conftest import parse_text
+from mock_backend import StubBackend
 
-from ritkit.client import AdjudicatorUnavailable, StubAdjudicator, StubBackend
+from ritkit.client import AdjudicatorUnavailable, StubAdjudicator
 from ritkit.detector import FineCategory, detect_file, finding_key
 from ritkit.hybrid import (
     DEFAULT_ROUTED_SET,
