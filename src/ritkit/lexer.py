@@ -114,9 +114,10 @@ def rule_block_starts(tokens: list[Token]) -> list[int]:
     start so that every `rule "` occurrence is either parsed or diagnosed.
     """
     starts = []
-    for i in range(len(tokens) - 1):
+    for i, tok in enumerate(tokens[:-1]):
+        if len(tok.text) != 4 or not is_keyword(tok, "rule"):  # the length test spares most tokens a call
+            continue
         nxt = tokens[i + 1]
-        opens_string = nxt.kind is TokenKind.STRING or (nxt.kind is TokenKind.ERROR and nxt.text.startswith('"'))
-        if opens_string and is_keyword(tokens[i], "rule"):
+        if nxt.kind is TokenKind.STRING or (nxt.kind is TokenKind.ERROR and nxt.text.startswith('"')):
             starts.append(i)
     return starts

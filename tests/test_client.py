@@ -159,7 +159,7 @@ def closed_port() -> int:
 
 
 @pytest.fixture
-def no_proxy_environment(monkeypatch):
+def clean_proxy_env(monkeypatch):
     for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
         monkeypatch.delenv(name, raising=False)
         monkeypatch.delenv(name.upper(), raising=False)
@@ -234,20 +234,20 @@ class TestTransport:
         assert text == "WAC"
         assert [a.error_class for a in record.attempts] == ["malformed-response", None]
 
-    def test_http_proxy_gets_the_absolute_uri(self, no_proxy_environment):
+    def test_http_proxy_gets_the_absolute_uri(self, clean_proxy_env):
         with MockBackendServer([(200, "WAC")]) as server:
             host, port = server.server.server_address
-            no_proxy_environment.setenv("HTTP_PROXY", f"http://user:pa%20ss@{host}:{port}")
+            clean_proxy_env.setenv("HTTP_PROXY", f"http://user:pa%20ss@{host}:{port}")
             text, _ = complete(config("http://example.invalid/v1/chat/completions?x=1"), "p", sleep=NO_SLEEP)
         assert text == "WAC"
         assert server.paths == ["http://example.invalid/v1/chat/completions?x=1"]
         assert server.request_headers[0]["Host"] == "example.invalid"
         assert server.request_headers[0]["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pa ss").decode()
 
-    def test_https_endpoint_tunnels_through_its_proxy(self, no_proxy_environment):
+    def test_https_endpoint_tunnels_through_its_proxy(self, clean_proxy_env):
         with MockBackendServer([]) as server:
             host, port = server.server.server_address
-            no_proxy_environment.setenv("HTTPS_PROXY", f"http://user:pw@{host}:{port}")
+            clean_proxy_env.setenv("HTTPS_PROXY", f"http://user:pw@{host}:{port}")
             with pytest.raises(BackendError) as exc_info:
                 complete(config("https://example.invalid/v1", max_retries=0), "p", sleep=NO_SLEEP)
         assert exc_info.value.error_class == "unavailable"  # the mock speaks no TLS after CONNECT
@@ -255,9 +255,9 @@ class TestTransport:
         assert server.request_headers[0]["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pw").decode()
         assert server.requests == []
 
-    def test_no_proxy_bypasses_the_proxy(self, no_proxy_environment):
-        no_proxy_environment.setenv("HTTP_PROXY", f"http://127.0.0.1:{closed_port()}")
-        no_proxy_environment.setenv("NO_PROXY", "127.0.0.1")
+    def test_no_proxy_bypasses_the_proxy(self, clean_proxy_env):
+        clean_proxy_env.setenv("HTTP_PROXY", f"http://127.0.0.1:{closed_port()}")
+        clean_proxy_env.setenv("NO_PROXY", "127.0.0.1")
         with MockBackendServer([(200, "WAC")]) as server:
             text, _ = complete(config(server.endpoint), "p", sleep=NO_SLEEP)
         assert text == "WAC"
