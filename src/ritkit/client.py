@@ -123,8 +123,8 @@ class Connection:
     Opens on the first `post`, is reused by every later one and reopens
     after the server closes it or it drops. A request goes through the proxy
     that the environment names for the endpoint's scheme, unless `NO_PROXY`
-    exempts its host: `http` requests carry the absolute URI to the proxy,
-    `https` requests tunnel through it with CONNECT.
+    exempts its host: `http` calls carry the absolute URI to the proxy,
+    `https` calls tunnel through it with CONNECT.
     """
 
     def __init__(self, endpoint: str, timeout: float) -> None:
