@@ -31,7 +31,7 @@ from .evaluate import (
     run_experiment,
     save_logs,
 )
-from .hybrid import audit_log_lines, run_pipeline
+from .hybrid import BACKEND_FAILURE, audit_log_lines, run_pipeline
 from .mutate import (
     Exhaustive,
     MutantManifest,
@@ -312,6 +312,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
             return _fail(str(exc))
 
     row, logs = run_experiment(config, dataset, predictor)
+    for log in logs:
+        if log.failure and log.failure.startswith(BACKEND_FAILURE):
+            print(f"warning: {log.failure} on instance {log.instance_id}, scored as a parse failure", file=sys.stderr)
     if args.per_instance_log:
         save_logs(logs, args.per_instance_log)
     print(render_metrics_table(row, config.labels, name=args.predictor or "predictions"))

@@ -145,7 +145,7 @@ class Finding:
 
 
 def finding_key(f: Finding) -> str:
-    """Stable identity used by routing, verdict merge and audit logs."""
+    """Stable identity used by the table stub, fail-open flags and audit logs."""
     return f"{f.category.value}:{f.rule_a.id}:{f.rule_b.id}:{f.threat_pair[0]}:{f.threat_pair[1]}"
 
 
@@ -164,12 +164,6 @@ class FindingReport:
     @property
     def total(self) -> int:
         return len(self.findings)
-
-    def coarse_counts(self) -> dict[str, int]:
-        out = {cat.value: 0 for cat in CoarseCategory}
-        for f in self.findings:
-            out[f.coarse.value] += 1
-        return out
 
 
 class _Direction:

@@ -381,18 +381,3 @@ def hybrid_precision(
     before, before_total = tally(all_keys, categories)
     after, after_total = tally([k for k in all_keys if k in kept_refs], categories)
     return PrecisionTable(before, after, before_total, after_total)
-
-
-def render_precision_table(table: PrecisionTable, labels: tuple[str, ...] = FINE_LABELS) -> str:
-    headers = list(labels) + ["Total"]
-    rows = [
-        ("before", [table.before.get(c) for c in labels] + [table.before_total]),
-        ("after", [table.after.get(c) for c in labels] + [table.after_total]),
-    ]
-    widths = [max(len(h), 7) for h in headers]
-    head = " | ".join(["stage ".ljust(6)] + [h.rjust(w) for h, w in zip(headers, widths)])
-    line = "-+-".join(["-" * 6] + ["-" * w for w in widths])
-    out = [head, line]
-    for name, values in rows:
-        out.append(" | ".join([name.ljust(6)] + [format_percent(v).rjust(w) for v, w in zip(values, widths)]))
-    return "\n".join(out)

@@ -1,9 +1,12 @@
-"""Reconciliation workflow: route findings, adjudicate, synthesize the report.
+"""Reconciliation workflow: adjudicate routed findings in one pass over a report.
 
-Unambiguous categories pass straight through; context-dependent ones
-(default WAC and WTC) are decomposed into subtasks a pluggable adjudicator
-answers independently. A finding survives only if every subtask upholds it.
-Adjudicator outages fail open: the finding is kept and flagged.
+`run_pipeline` walks the detector's findings in order. A finding whose
+category is outside the routed set (default WAC and WTC) is kept as it is.
+A routed one is decomposed into subtasks that a pluggable adjudicator
+answers in turn; every answer goes to the audit log, so a NO does not cut
+the remaining subtasks short. The finding is kept when every subtask upholds
+it and discarded otherwise. An adjudicator outage fails open: the finding is
+kept and its key flagged.
 """
 
 from __future__ import annotations
@@ -19,22 +22,7 @@ from .prompts import ParseFailure, PromptTemplate, build_prompt, parse_model_res
 
 DEFAULT_ROUTED_SET = frozenset({FineCategory.WAC, FineCategory.WTC})
 
-
-class Route(Enum):
-    PASS_THROUGH = "pass-through"
-    NEEDS_ADJUDICATION = "needs-adjudication"
-
-
-@dataclass(frozen=True)
-class RoutingDecision:
-    finding_ref: str
-    route: Route
-
-
-def route(finding: Finding, routed_set: frozenset[FineCategory] = DEFAULT_ROUTED_SET) -> RoutingDecision:
-    """Membership test on the fine category."""
-    selected = Route.NEEDS_ADJUDICATION if finding.category in routed_set else Route.PASS_THROUGH
-    return RoutingDecision(finding_key(finding), selected)
+BACKEND_FAILURE = "backend:"  # prefix of the parse-failure kind of a failed backend call
 
 
 class SubtaskKind(Enum):
@@ -46,7 +34,6 @@ class SubtaskKind(Enum):
 @dataclass(frozen=True)
 class AdjudicationSubtask:
     kind: SubtaskKind
-    finding_ref: str
     payload: str  # the question text handed to the adjudicator
 
 
@@ -96,23 +83,7 @@ def _payload(kind: SubtaskKind, finding: Finding) -> str:
 
 
 def subtasks_for(finding: Finding) -> tuple[AdjudicationSubtask, ...]:
-    ref = finding_key(finding)
-    return tuple(
-        AdjudicationSubtask(kind, ref, _payload(kind, finding))
-        for kind in _FAMILY_SUBTASKS[finding.coarse]
-    )
-
-
-class Decision(Enum):
-    CONFIRMED = "confirmed"
-    DISCARDED = "discarded"
-
-
-@dataclass(frozen=True)
-class Verdict:
-    finding_ref: str
-    decision: Decision
-    rationale: str | None
+    return tuple(AdjudicationSubtask(kind, _payload(kind, finding)) for kind in _FAMILY_SUBTASKS[finding.coarse])
 
 
 @dataclass(frozen=True)
@@ -151,58 +122,27 @@ class ModelAdjudicator:
         return scan_labels(response, ("YES", "NO"), multi_allowed=False) != ("NO",), response
 
 
-def adjudicate(
-    finding: Finding,
-    subtasks: tuple[AdjudicationSubtask, ...],
-    adjudicator: SubtaskAdjudicator,
-    audit: list[AuditRecord] | None = None,
-) -> Verdict:
-    """Answer every subtask; confirmed only when all uphold the threat.
+def adjudicate(finding: Finding, adjudicator: SubtaskAdjudicator, audit: list[AuditRecord]) -> bool:
+    """Ask every subtask of `finding` in turn; True when all uphold the threat.
 
-    Raises AdjudicatorUnavailable when the backend is exhausted, which the
-    pipeline maps to a fail-open pass-through.
+    Each answer is appended to `audit`, a NO included. Raises
+    AdjudicatorUnavailable when the backend is exhausted.
     """
     ref = finding_key(finding)
     upheld = True
-    rationale = None
-    for subtask in subtasks:
+    for subtask in subtasks_for(finding):
         ok, raw = adjudicator.answer_subtask(ref, subtask.kind.value, subtask.payload)
-        if audit is not None:
-            audit.append(AuditRecord(ref, subtask.kind.value, raw, ok))
-        if not ok:
-            upheld = False
-            rationale = f"{subtask.kind.value} rejected"
-    decision = Decision.CONFIRMED if upheld else Decision.DISCARDED
-    return Verdict(ref, decision, rationale)
+        audit.append(AuditRecord(ref, subtask.kind.value, raw, ok))
+        upheld = upheld and ok
+    return upheld
 
 
 @dataclass(frozen=True)
 class ReconciledReport:
     final: FindingReport
     discarded: tuple[Finding, ...]
-    fail_open_refs: tuple[str, ...]
-    verdicts: dict[str, Verdict]
+    fail_open_refs: tuple[str, ...]  # sorted, each key once
     audit: tuple[AuditRecord, ...]
-
-
-def reconcile(
-    report: FindingReport,
-    verdicts: dict[str, Verdict],
-    fail_open_refs: Iterable[str] = (),
-) -> ReconciledReport:
-    """Pass-through plus confirmed findings; discarded kept for audit."""
-    fail_open = set(fail_open_refs)
-    kept: list[Finding] = []
-    discarded: list[Finding] = []
-    for finding in report.findings:
-        ref = finding_key(finding)
-        verdict = verdicts.get(ref)
-        if verdict is None or ref in fail_open or verdict.decision is Decision.CONFIRMED:
-            kept.append(finding)
-        else:
-            discarded.append(finding)
-    final = FindingReport(file=report.file, findings=tuple(kept))
-    return ReconciledReport(final, tuple(discarded), tuple(sorted(fail_open)), dict(verdicts), ())
 
 
 def run_pipeline(
@@ -210,20 +150,24 @@ def run_pipeline(
     adjudicator: SubtaskAdjudicator,
     routed_set: frozenset[FineCategory] = DEFAULT_ROUTED_SET,
 ) -> ReconciledReport:
-    """Route, adjudicate and reconcile one detector report."""
-    verdicts: dict[str, Verdict] = {}
-    fail_open: list[str] = []
+    """Keep, discard or fail open each finding of one detector report, in order."""
+    kept: list[Finding] = []
+    discarded: list[Finding] = []
+    fail_open: set[str] = set()
     audit: list[AuditRecord] = []
     for finding in report.findings:
-        decision = route(finding, routed_set)
-        if decision.route is Route.PASS_THROUGH:
-            continue
-        try:
-            verdicts[decision.finding_ref] = adjudicate(finding, subtasks_for(finding), adjudicator, audit)
-        except AdjudicatorUnavailable:
-            fail_open.append(decision.finding_ref)
-    result = reconcile(report, verdicts, fail_open)
-    return ReconciledReport(result.final, result.discarded, result.fail_open_refs, verdicts, tuple(audit))
+        if finding.category in routed_set:
+            try:
+                upheld = adjudicate(finding, adjudicator, audit)
+            except AdjudicatorUnavailable:
+                fail_open.add(finding_key(finding))
+                upheld = True
+            if not upheld:
+                discarded.append(finding)
+                continue
+        kept.append(finding)
+    final = FindingReport(file=report.file, findings=tuple(kept))
+    return ReconciledReport(final, tuple(discarded), tuple(sorted(fail_open)), tuple(audit))
 
 
 def audit_log_lines(records: Iterable[AuditRecord]) -> str:
@@ -235,10 +179,13 @@ def audit_log_lines(records: Iterable[AuditRecord]) -> str:
 
 
 def recover_negatives(ruleset_text: str, template: PromptTemplate, backend) -> tuple[str, ...] | ParseFailure:
-    """Classify a ruleset with no detector evidence attached."""
+    """Classify a ruleset with no detector evidence attached.
+
+    A backend that gives up yields the parse failure `backend:<error_class>`.
+    """
     prompt = build_prompt(template, ruleset_text)
     try:
         response = backend.complete(prompt)
-    except BackendError:
-        return ParseFailure("blank", "")
+    except BackendError as exc:
+        return ParseFailure(f"{BACKEND_FAILURE}{exc.error_class}", "")
     return parse_model_response(response, template.taxonomy, template.multi_response)

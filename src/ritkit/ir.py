@@ -8,7 +8,7 @@ Everything here is immutable. Ids follow the ``rN`` / ``rNtM`` / ``rNcM`` /
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from functools import cached_property
@@ -223,9 +223,6 @@ class RuleSet:
     def errors(self) -> tuple[Diagnostic, ...]:
         return tuple(d for d in self.diagnostics if d.severity == "error")
 
-    def warnings(self) -> tuple[Diagnostic, ...]:
-        return tuple(d for d in self.diagnostics if d.severity == "warning")
-
 
 # ---------------------------------------------------------------------------
 # Source-style rendering, shared by the report layout and the mutator.
@@ -308,36 +305,3 @@ def _call_text(a: Action) -> str:
     call = "sendCommand" if a.kind is ActionKind.SEND_COMMAND else "postUpdate"
     return f"{call}({a.item}, {a.value.raw})"
 
-
-def renumber(rules: list[Rule], file_id: str, diagnostics: tuple[Diagnostic, ...] = ()) -> RuleSet:
-    """Reassign r/t/c/a ids by position, preserving structure.
-
-    A reference for tests that build or reorder IR rules outside the
-    parser, so id invariants keep holding; the parser mints its own ids.
-    """
-    out: list[Rule] = []
-    for n, rule in enumerate(rules, start=1):
-        rid = f"r{n}"
-        triggers = tuple(
-            replace(t, id=f"{rid}t{m}") for m, t in enumerate(rule.triggers, start=1)
-        )
-        cond_counter = 0
-        cond_ids: dict[int, Condition] = {}
-
-        def fresh(cond: Condition) -> Condition:
-            nonlocal cond_counter
-            key = id(cond)
-            if key not in cond_ids:
-                cond_counter += 1
-                cond_ids[key] = replace(cond, id=f"{rid}c{cond_counter}")
-            return cond_ids[key]
-
-        conditions = tuple(fresh(c) for c in rule.conditions)
-        gas: list[GuardedAction] = []
-        for m, ga in enumerate(rule.guarded_actions, start=1):
-            action = replace(ga.action, id=f"{rid}a{m}")
-            gas.append(GuardedAction(action, tuple(fresh(c) for c in ga.guards)))
-        out.append(
-            replace(rule, id=rid, triggers=triggers, conditions=conditions, guarded_actions=tuple(gas))
-        )
-    return RuleSet(file_id=file_id, rules=tuple(out), diagnostics=diagnostics)

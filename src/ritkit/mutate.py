@@ -59,17 +59,13 @@ class Seed:
 
     @staticmethod
     def load(path: str | Path) -> "Seed":
-        source = SourceFile.from_path(path)
-        ruleset = parse_ruleset(source)
-        if ruleset.errors():
-            raise MutationError(f"seed {path} does not parse cleanly: {ruleset.errors()[0].message}")
-        return Seed(str(path), source.content, ruleset)
+        return Seed.from_text(Path(path).read_text(encoding="utf-8"), str(path))
 
     @staticmethod
     def from_text(text: str, path: str = "<seed>") -> "Seed":
         ruleset = parse_ruleset(SourceFile.from_text(text, path))
         if ruleset.errors():
-            raise MutationError(f"seed {path} does not parse cleanly")
+            raise MutationError(f"seed {path} does not parse cleanly: {ruleset.errors()[0].message}")
         return Seed(path, text, ruleset)
 
     @cached_property
@@ -124,12 +120,6 @@ class MutantManifest:
         for rec in self.records:
             out[rec.operator] += 1
         return out
-
-    def seed_inventory(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for rec in self.records:
-            seen.setdefault(rec.seed_file)
-        return list(seen)
 
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

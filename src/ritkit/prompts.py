@@ -1,6 +1,6 @@
 """Prompt assembly and model-response label extraction.
 
-Prompts are built byte-deterministically from versioned text assets: a fixed
+Prompts are built byte-deterministically from text assets: a fixed
 preamble, per-category definition blocks with zero, one or two embedded
 examples, an output-format section and the ruleset under analysis.
 """
@@ -38,10 +38,6 @@ def _asset(*parts: str) -> str:
     for part in parts:
         root = root / part
     return root.read_text(encoding="utf-8").rstrip("\n")
-
-
-def prompt_asset_version() -> str:
-    return _asset("VERSION")
 
 
 @dataclass(frozen=True)

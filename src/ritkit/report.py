@@ -177,7 +177,3 @@ def parse_structured(text: str) -> FindingReport:
 def render_structured_lines(reports: list[FindingReport]) -> str:
     """Line-delimited variant: one report document per line."""
     return "".join(json.dumps(report_to_json(r), sort_keys=True) + "\n" for r in reports)
-
-
-def parse_structured_lines(text: str) -> list[FindingReport]:
-    return [report_from_json(json.loads(line)) for line in text.splitlines() if line.strip()]

@@ -1,9 +1,8 @@
-"""Source file handling: content, line index and position math."""
+"""Source file handling: content and line index."""
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,12 +22,3 @@ class SourceFile:
     def from_path(path: str | Path) -> "SourceFile":
         text = Path(path).read_text(encoding="utf-8")
         return SourceFile.from_text(text, path=str(path))
-
-    def position(self, offset: int) -> tuple[int, int]:
-        """(1-based line, 1-based column) for a character offset."""
-        line = bisect_right(self.line_offsets, offset)
-        return (line, offset - self.line_offsets[line - 1] + 1)
-
-    @property
-    def line_count(self) -> int:
-        return len(self.line_offsets)

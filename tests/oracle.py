@@ -11,6 +11,7 @@ tests.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from ritkit.ir import (
@@ -27,7 +28,6 @@ from ritkit.ir import (
     Value,
     make_value,
     number_value,
-    renumber,
 )
 
 OTHER = object()  # a state distinct from every mentioned value
@@ -358,6 +358,40 @@ def random_condition(rng: random.Random) -> Condition:
         op=rng.choice(_OPS),
         value=_random_value(rng),
     )
+
+
+def renumber(rules: list[Rule], file_id: str) -> RuleSet:
+    """Reassign r/t/c/a ids by position, preserving structure.
+
+    For rules built or reordered outside the parser, so id invariants keep
+    holding; the parser mints its own ids.
+    """
+    out: list[Rule] = []
+    for n, rule in enumerate(rules, start=1):
+        rid = f"r{n}"
+        triggers = tuple(
+            replace(t, id=f"{rid}t{m}") for m, t in enumerate(rule.triggers, start=1)
+        )
+        cond_counter = 0
+        cond_ids: dict[int, Condition] = {}
+
+        def fresh(cond: Condition) -> Condition:
+            nonlocal cond_counter
+            key = id(cond)
+            if key not in cond_ids:
+                cond_counter += 1
+                cond_ids[key] = replace(cond, id=f"{rid}c{cond_counter}")
+            return cond_ids[key]
+
+        conditions = tuple(fresh(c) for c in rule.conditions)
+        gas: list[GuardedAction] = []
+        for m, ga in enumerate(rule.guarded_actions, start=1):
+            action = replace(ga.action, id=f"{rid}a{m}")
+            gas.append(GuardedAction(action, tuple(fresh(c) for c in ga.guards)))
+        out.append(
+            replace(rule, id=rid, triggers=triggers, conditions=conditions, guarded_actions=tuple(gas))
+        )
+    return RuleSet(file_id=file_id, rules=tuple(out))
 
 
 def random_ruleset(rng: random.Random, max_rules: int = 4) -> RuleSet:

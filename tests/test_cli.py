@@ -354,6 +354,43 @@ class TestBackendPredictorCli:
         assert f"samples: {len(manifest.records)}" in out
         assert out.count("100.00%") >= 1  # scripted answers echo the truth
 
+    @pytest.mark.parametrize(
+        ("failing", "error_class"),
+        [([(401, None)], "auth"), ([(429, None)] * 5, "rate-limited")],
+        ids=["401", "five-429s"],
+    )
+    def test_backend_failure_is_named_and_warned(self, capsys, tmp_path, failing, error_class):
+        from ritkit.mutate import Sample, Seed, bundled_seed_paths, generate_corpus
+
+        seeds = [Seed.load(p) for p in bundled_seed_paths()[:1]]
+        manifest = generate_corpus(seeds, Sample(2, rng_seed=1), tmp_path / "corpus")
+        first, second = manifest.records
+        # max_retries 4: the five 429s exhaust the first instance's call.
+        with MockBackendServer(failing + [(200, second.operator)]) as server:
+            config_path = tmp_path / "config.json"
+            backend = {"endpoint": server.endpoint, "model": "m", "timeout": 5.0, "max_retries": 4, "backoff_base": 0}
+            config_path.write_text(json.dumps({"backend": backend}), encoding="utf-8")
+            log_path = tmp_path / "log.jsonl"
+            code, out, err = run_cli(
+                capsys,
+                "eval",
+                "--manifest",
+                str(tmp_path / "corpus" / "manifest.jsonl"),
+                "--predictor",
+                "backend",
+                "--config",
+                str(config_path),
+                "--per-instance-log",
+                str(log_path),
+            )
+        assert code == 0
+        assert "samples: 2, parse failures: 1" in out
+        warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == 1
+        assert f"backend:{error_class}" in warnings[0] and first.mutant_id in warnings[0]
+        logs = [json.loads(line) for line in log_path.read_text(encoding="utf-8").splitlines()]
+        assert [log["failure"] for log in logs] == [f"backend:{error_class}", None]
+
     def test_backend_predictor_without_config_is_fatal(self, capsys, tmp_path):
         from ritkit.mutate import Exhaustive, Seed, bundled_seed_paths, generate_corpus
 

@@ -7,11 +7,20 @@ from pathlib import Path
 
 import oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import DATA_DIR, parse_text
 
 import ritkit.detector
-from ritkit.detector import CoarseCategory, DetectorConfig, FineCategory, aggregate, detect_file, detect_pair
-from ritkit.ir import renumber
+from ritkit.detector import (
+    CoarseCategory,
+    DetectorConfig,
+    FineCategory,
+    aggregate,
+    detect_file,
+    detect_pair,
+    finding_key,
+)
 from ritkit.report import render_structured, render_text
 
 LENIENT = DetectorConfig(strict_event_matching=False)
@@ -264,7 +273,7 @@ class TestInvariants:
             assert report.counts == dict(
                 {c.value: 0 for c in FineCategory}, **Counter(f.category.value for f in report.findings)
             )
-            coarse = report.coarse_counts()
+            coarse = Counter(f.coarse.value for f in report.findings)
             assert coarse["AC"] == report.counts["WAC"] + report.counts["SAC"]
             assert coarse["TC"] == report.counts["WTC"] + report.counts["STC"]
             assert coarse["CC"] == report.counts["WCC"] + report.counts["SCC"]
@@ -303,8 +312,17 @@ class TestInvariants:
             baseline = Counter(f.category for f in detect_file(rs).findings)
             order = list(rs.rules)
             rng.shuffle(order)
-            permuted = renumber(order, rs.file_id)
+            permuted = oracle.renumber(order, rs.file_id)
             assert Counter(f.category for f in detect_file(permuted).findings) == baseline
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=300)
+    def test_finding_keys_are_unique_per_report(self, seed):
+        # Routing, the table stub and the audit log name a finding by its key.
+        ruleset = oracle.random_ruleset(random.Random(seed))
+        for config in (DetectorConfig(), LENIENT):
+            keys = [finding_key(f) for f in detect_file(ruleset, config).findings]
+            assert len(keys) == len(set(keys))
 
     def test_detection_is_deterministic(self, morning_pair):
         assert detect_file(morning_pair) == detect_file(morning_pair)

@@ -27,7 +27,6 @@ from ritkit.evaluate import (
     precision,
     recall,
     render_metrics_table,
-    render_precision_table,
     run_experiment,
     save_logs,
     score_prediction,
@@ -304,5 +303,3 @@ class TestHybridPrecision:
         assert table.before_total < table.after_total
         assert table.after_total >= Fraction(9, 10)
         assert table.after[FineCategory.WAC.value] == 1
-        rendered = render_precision_table(table)
-        assert "72.53%" in rendered

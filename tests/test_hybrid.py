@@ -7,18 +7,14 @@ from conftest import parse_text
 from mock_backend import StubBackend
 
 from ritkit.client import AdjudicatorUnavailable, StubAdjudicator
-from ritkit.detector import FineCategory, detect_file, finding_key
+from ritkit.detector import FindingReport, FineCategory, detect_file, finding_key
 from ritkit.hybrid import (
     DEFAULT_ROUTED_SET,
-    Decision,
     ModelAdjudicator,
-    Route,
     SubtaskKind,
     adjudicate,
     audit_log_lines,
-    reconcile,
     recover_negatives,
-    route,
     run_pipeline,
     subtasks_for,
 )
@@ -63,39 +59,49 @@ def mixed_report():
     return detect_file(parse_text(MIXED_RULESET))
 
 
+def _first(report, category):
+    return next(f for f in report.findings if f.category is category)
+
+
 class TestRouting:
     def test_wac_needs_adjudication(self, mixed_report):
-        wac = next(f for f in mixed_report.findings if f.category is FineCategory.WAC)
-        assert route(wac).route is Route.NEEDS_ADJUDICATION
+        wac = _first(mixed_report, FineCategory.WAC)
+        result = run_pipeline(mixed_report, StubAdjudicator("reject-all"))
+        assert wac in result.discarded
+        assert finding_key(wac) in {r.finding_ref for r in result.audit}
 
     def test_strong_categories_pass_through(self, fire_alarm_pair, sprinkler_pair):
-        scc = detect_file(fire_alarm_pair).findings[0]
-        sac = detect_file(sprinkler_pair).findings[0]
-        assert route(scc).route is Route.PASS_THROUGH
-        assert route(sac).route is Route.PASS_THROUGH
+        for pair in (fire_alarm_pair, sprinkler_pair):
+            report = detect_file(pair)
+            result = run_pipeline(report, StubAdjudicator("reject-all"))
+            assert result.final == report and result.discarded == () and result.audit == ()
 
     def test_stc_passes_through(self, mixed_report):
-        stc = next(f for f in mixed_report.findings if f.category is FineCategory.STC)
-        assert route(stc).route is Route.PASS_THROUGH
+        stc = _first(mixed_report, FineCategory.STC)
+        result = run_pipeline(mixed_report, StubAdjudicator("reject-all"))
+        assert stc in result.final.findings
+        assert finding_key(stc) not in {r.finding_ref for r in result.audit}
 
     def test_routed_set_is_configurable(self, sprinkler_pair):
-        sac = detect_file(sprinkler_pair).findings[0]
-        assert route(sac, frozenset({FineCategory.SAC})).route is Route.NEEDS_ADJUDICATION
+        report = detect_file(sprinkler_pair)
+        sac = report.findings[0]
+        result = run_pipeline(report, StubAdjudicator("reject-all"), frozenset({FineCategory.SAC}))
+        assert result.discarded == (sac,)
 
 
 class TestSubtasks:
     def test_ac_family_gets_overlap_and_conflict(self, mixed_report):
-        wac = next(f for f in mixed_report.findings if f.category is FineCategory.WAC)
+        wac = _first(mixed_report, FineCategory.WAC)
         kinds = [s.kind for s in subtasks_for(wac)]
         assert kinds == [SubtaskKind.TRIGGER_OVERLAP, SubtaskKind.ACTION_CONFLICT]
 
     def test_tc_family_gets_cascade_safety(self, mixed_report):
-        stc = next(f for f in mixed_report.findings if f.category is FineCategory.STC)
+        stc = _first(mixed_report, FineCategory.STC)
         kinds = [s.kind for s in subtasks_for(stc)]
         assert kinds == [SubtaskKind.CASCADE_SAFETY]
 
     def test_payload_carries_evidence(self, mixed_report):
-        wac = next(f for f in mixed_report.findings if f.category is FineCategory.WAC)
+        wac = _first(mixed_report, FineCategory.WAC)
         overlap = subtasks_for(wac)[0]
         assert "Sun_Is_Setting_Event" in overlap.payload
         assert "cron" in overlap.payload
@@ -103,30 +109,33 @@ class TestSubtasks:
 
 class TestAdjudicate:
     def test_accept_all_confirms(self, mixed_report):
-        wac = next(f for f in mixed_report.findings if f.category is FineCategory.WAC)
-        verdict = adjudicate(wac, subtasks_for(wac), StubAdjudicator("accept-all"))
-        assert verdict.decision is Decision.CONFIRMED
+        wac = _first(mixed_report, FineCategory.WAC)
+        assert adjudicate(wac, StubAdjudicator("accept-all"), []) is True
 
     def test_overlap_rejection_discards(self, mixed_report):
         # Common-sense call: an 8am cron and a sunset event never coincide.
-        wac = next(f for f in mixed_report.findings if f.category is FineCategory.WAC)
-        table = {f"{finding_key(wac)}::trigger-overlap": False}
-        stub = StubAdjudicator("table", table={**table, finding_key(wac): True})
-        verdict = adjudicate(wac, subtasks_for(wac), stub)
-        assert verdict.decision is Decision.DISCARDED
-        assert "trigger-overlap" in verdict.rationale
+        wac = _first(mixed_report, FineCategory.WAC)
+        key = finding_key(wac)
+        table = {key: True, f"{key}::trigger-overlap": False}
+        result = run_pipeline(mixed_report, StubAdjudicator("table", table=table), frozenset({FineCategory.WAC}))
+        assert result.discarded == (wac,)
+        # The rejecting subtask is on record, and the NO did not cut the
+        # remaining subtask short.
+        answers = [(r.subtask, r.uphold) for r in result.audit if r.finding_ref == key]
+        assert answers == [("trigger-overlap", False), ("action-conflict", True)]
 
     def test_intended_cascade_discards(self, mixed_report):
         wac_keys = {finding_key(f): True for f in mixed_report.findings}
-        stc = next(f for f in mixed_report.findings if f.category is FineCategory.STC)
+        stc = _first(mixed_report, FineCategory.STC)
         stub = StubAdjudicator("table", table={**wac_keys, f"{finding_key(stc)}::cascade-safety": False})
-        verdict = adjudicate(stc, subtasks_for(stc), stub)
-        assert verdict.decision is Decision.DISCARDED
+        result = run_pipeline(mixed_report, stub, DEFAULT_ROUTED_SET | {FineCategory.STC})
+        assert result.discarded == (stc,)
+        assert [r.subtask for r in result.audit if not r.uphold] == ["cascade-safety"]
 
     def test_table_miss_is_an_error(self, mixed_report):
-        wac = next(f for f in mixed_report.findings if f.category is FineCategory.WAC)
+        wac = _first(mixed_report, FineCategory.WAC)
         with pytest.raises(KeyError):
-            adjudicate(wac, subtasks_for(wac), StubAdjudicator("table", table={}))
+            adjudicate(wac, StubAdjudicator("table", table={}), [])
 
 
 class TestReconcile:
@@ -155,14 +164,22 @@ class TestReconcile:
     def test_no_routed_findings_is_identity(self, fire_alarm_pair):
         report = detect_file(fire_alarm_pair)  # single SCC, never routed
         result = run_pipeline(report, StubAdjudicator("reject-all"))
-        assert result.final == report and not result.verdicts
+        assert result.final == report and not result.audit
 
     def test_mixed_verdict_arithmetic(self, mixed_report):
         wacs = [f for f in mixed_report.findings if f.category is FineCategory.WAC]
         table = {finding_key(f): (i % 2 == 0) for i, f in enumerate(wacs)}
-        result = run_pipeline(mixed_report, StubAdjudicator("table", table=table))
-        discarded = sum(1 for v in result.verdicts.values() if v.decision is Decision.DISCARDED)
-        assert len(result.final.findings) == len(mixed_report.findings) - discarded
+        result = run_pipeline(mixed_report, StubAdjudicator("table", table=table), frozenset({FineCategory.WAC}))
+        rejected = {r.finding_ref for r in result.audit if not r.uphold}
+        assert [finding_key(f) for f in result.discarded] == [k for k in table if k in rejected]
+        assert len(result.final.findings) == len(mixed_report.findings) - len(rejected)
+
+    def test_duplicate_findings_are_each_filed(self, mixed_report):
+        wac = _first(mixed_report, FineCategory.WAC)
+        doubled = FindingReport(mixed_report.file, mixed_report.findings + (wac,))
+        result = run_pipeline(doubled, StubAdjudicator("reject-all"))
+        assert result.discarded.count(wac) == 2
+        assert len(result.final.findings) + len(result.discarded) == len(doubled.findings)
 
 
 class _FlakyAdjudicator:
@@ -175,12 +192,23 @@ class TestFailOpen:
         result = run_pipeline(mixed_report, _FlakyAdjudicator())
         assert result.final == mixed_report  # fail-open preserves recall
         routed = [f for f in mixed_report.findings if f.category in DEFAULT_ROUTED_SET]
-        assert len(result.fail_open_refs) == len(routed)
+        assert result.fail_open_refs == tuple(sorted(finding_key(f) for f in routed))
 
-    def test_reconcile_requires_verdict_or_flag(self, mixed_report):
-        wac = next(f for f in mixed_report.findings if f.category is FineCategory.WAC)
-        result = reconcile(mixed_report, {}, fail_open_refs=[finding_key(wac)])
-        assert wac in result.final.findings
+    def test_outage_after_a_no_keeps_the_finding(self, mixed_report):
+        wac = _first(mixed_report, FineCategory.WAC)
+
+        class NoThenOutage:
+            def answer_subtask(self, finding_key: str, subtask_kind: str, payload: str):
+                if subtask_kind == "trigger-overlap":
+                    return False, "NO"
+                raise AdjudicatorUnavailable("backend exhausted")
+
+        result = run_pipeline(mixed_report, NoThenOutage(), frozenset({FineCategory.WAC}))
+        assert wac in result.final.findings and result.discarded == ()
+        assert finding_key(wac) in result.fail_open_refs
+        # The answer given before the outage stays on record.
+        records = {(r.finding_ref, r.subtask, r.uphold) for r in result.audit}
+        assert (finding_key(wac), "trigger-overlap", False) in records
 
 
 class TestAudit:
@@ -232,6 +260,11 @@ class TestRecoverNegatives:
         backend = StubBackend(constant="   ")
         result = recover_negatives(MIXED_RULESET, PromptTemplate(0, "six", True), backend)
         assert isinstance(result, ParseFailure) and result.kind == "blank"
+
+    def test_backend_error_is_named_by_its_class(self):
+        backend = StubBackend()  # no scripted responses: the call fails as unavailable
+        result = recover_negatives(MIXED_RULESET, PromptTemplate(0, "six", True), backend)
+        assert result == ParseFailure("backend:unavailable", "")
 
     def test_single_mode_passes_through(self):
         backend = StubBackend(constant="WAC, SCC")

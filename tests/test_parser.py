@@ -115,7 +115,7 @@ class TestParseRuleset:
         rs = parse_text(text)
         assert len(rs.rules) == 1
         assert len(rs.rules[0].guarded_actions) == 1
-        assert rs.warnings()
+        assert [d for d in rs.diagnostics if d.severity == "warning"]
 
     def test_determinism(self):
         first = parse_fixture("tc_morning_cascade.rules")
@@ -296,7 +296,7 @@ class TestInvariants:
         ):
             source = SourceFile.from_path(f"tests/data/{name}")
             rs = parse_ruleset(source)
-            last_line = source.line_count
+            last_line = len(source.line_offsets)
             for rule in rs.rules:
                 locs = [rule.loc] + [t.loc for t in rule.triggers]
                 locs += [c.loc for c in rule.conditions]
@@ -317,9 +317,7 @@ class TestInvariants:
     def test_line_index_covers_every_line(self):
         text = "a\nbb\n\nccc"
         source = SourceFile.from_text(text)
-        assert len(source.line_offsets) == 4
-        assert source.position(0) == (1, 1)
-        assert source.position(len(text) - 1) == (4, 3)
+        assert source.line_offsets == (0, 2, 5, 6)
 
     def test_random_garbage_never_crashes(self):
         rng = random.Random(7)

@@ -16,7 +16,6 @@ from ritkit.prompts import (
     PromptTemplate,
     build_prompt,
     parse_model_response,
-    prompt_asset_version,
     scan_labels,
 )
 
@@ -89,9 +88,6 @@ class TestBuildPrompt:
             PromptTemplate(3, "six", True)
         with pytest.raises(ValueError):
             PromptTemplate(0, "nine", True)
-
-    def test_assets_are_versioned(self):
-        assert prompt_asset_version() == "1"
 
 
 class TestParseModelResponse:

@@ -15,7 +15,6 @@ from ritkit.detector import (
 )
 from ritkit.report import (
     parse_structured,
-    parse_structured_lines,
     render_structured,
     render_structured_lines,
     render_text,
@@ -109,7 +108,7 @@ class TestStructuredRoundTrip:
         reports = [detect_file(sprinkler_pair), detect_file(morning_pair)]
         text = render_structured_lines(reports)
         assert len(text.splitlines()) == 2
-        assert parse_structured_lines(text) == reports
+        assert [parse_structured(line) for line in text.splitlines()] == reports
 
     def test_unknown_schema_version_rejected(self):
         import json
