@@ -73,6 +73,11 @@ def _load_tool_config(path: str | None) -> ToolConfig:
     return load_config(path) if path else ToolConfig()
 
 
+def _strict_matching(args: argparse.Namespace, config: ToolConfig) -> bool:
+    """Strict event matching unless --lenient-matching or the config turns it off."""
+    return not args.lenient_matching and config.strict_event_matching
+
+
 def _collect_rules_files(paths: list[str]) -> list[Path]:
     files: list[Path] = []
     for raw in paths:
@@ -95,8 +100,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         config = _load_tool_config(args.config)
     except ConfigError as exc:
         return _fail(str(exc))
-    strict = not args.lenient_matching and config.strict_event_matching
-    detector_config = DetectorConfig(strict_event_matching=strict)
+    detector_config = DetectorConfig(strict_event_matching=_strict_matching(args, config))
     try:
         files = _collect_rules_files(args.paths)
     except FileNotFoundError as exc:
@@ -306,7 +310,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         try:
             tool_config = _load_tool_config(args.config)
             predictor = _predictor_from_spec(
-                args.predictor, dataset, config, strict=not args.lenient_matching, tool_config=tool_config
+                args.predictor, dataset, config, strict=_strict_matching(args, tool_config), tool_config=tool_config
             )
         except ConfigError as exc:
             return _fail(str(exc))

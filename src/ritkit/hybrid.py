@@ -6,7 +6,8 @@ A routed one is decomposed into subtasks that a pluggable adjudicator
 answers in turn; every answer goes to the audit log, so a NO does not cut
 the remaining subtasks short. The finding is kept when every subtask upholds
 it and discarded otherwise. An adjudicator outage fails open: the finding is
-kept and its key flagged.
+kept and its key flagged, and so is every routed finding after it, without
+asking the adjudicator again.
 """
 
 from __future__ import annotations
@@ -155,13 +156,17 @@ def run_pipeline(
     discarded: list[Finding] = []
     fail_open: set[str] = set()
     audit: list[AuditRecord] = []
+    available = True
     for finding in report.findings:
         if finding.category in routed_set:
-            try:
-                upheld = adjudicate(finding, adjudicator, audit)
-            except AdjudicatorUnavailable:
+            upheld = True
+            if available:
+                try:
+                    upheld = adjudicate(finding, adjudicator, audit)
+                except AdjudicatorUnavailable:
+                    available = False
+            if not available:
                 fail_open.add(finding_key(finding))
-                upheld = True
             if not upheld:
                 discarded.append(finding)
                 continue

@@ -16,12 +16,12 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .detector import CATEGORY_ORDER, DetectorConfig, FineCategory, detect_file
+from .detector import CATEGORY_ORDER, CoarseCategory, DetectorConfig, FineCategory, aggregate, detect_file
 from .ir import (
     Action,
     ActionKind,
@@ -34,6 +34,7 @@ from .ir import (
     TriggerKind,
     Value,
     ValueKind,
+    effective_guards,
     make_value,
     number_value,
     rule_source,
@@ -86,16 +87,7 @@ class MutantRecord:
     miss_cause: str | None = None
 
     def to_json(self) -> dict:
-        return {
-            "mutant_id": self.mutant_id,
-            "seed_file": self.seed_file,
-            "operator": self.operator,
-            "rule_a": self.rule_a,
-            "rule_b": self.rule_b,
-            "injected": self.injected,
-            "output_path": self.output_path,
-            "miss_cause": self.miss_cause,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @staticmethod
     def from_json(obj: dict) -> "MutantRecord":
@@ -140,10 +132,11 @@ class MutantManifest:
 # Vocabulary and value synthesis
 
 
-def _pair_vocabulary(a: Rule, b: Rule) -> tuple[list[str], list[Value]]:
+def _vocabulary(*rules: Rule) -> tuple[list[str], list[Value]]:
+    """Items and values the rules name, each once, in order of appearance."""
     items: dict[str, None] = {}
     values: dict[str, Value] = {}
-    for rule in (a, b):
+    for rule in rules:
         for t in rule.triggers:
             if t.item:
                 items.setdefault(t.item)
@@ -204,17 +197,7 @@ def _fresh_item(base: str, taken: set[str]) -> str:
 
 
 def _all_item_names(rs: RuleSet) -> set[str]:
-    names: set[str] = set()
-    for rule in rs.rules:
-        for t in rule.triggers:
-            if t.item:
-                names.add(t.item)
-        for c in rule.all_conditions():
-            if c.item:
-                names.add(c.item)
-        for ga in rule.guarded_actions:
-            names.add(ga.action.item)
-    return names
+    return set(_vocabulary(*rs.rules)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -229,29 +212,19 @@ def _strip_conditions(rule: Rule) -> Rule:
     )
 
 
-def _any_trigger_overlap(a: Rule, b: Rule) -> bool:
-    return any(triggers_overlap(ta, tb).overlap for ta in a.triggers for tb in b.triggers)
-
-
 def _align_triggers(a: Rule, b: Rule) -> Rule:
     """Give b a trigger provably overlapping a's when none overlaps."""
-    if _any_trigger_overlap(a, b):
+    if any(triggers_overlap(ta, tb).overlap for ta in a.triggers for tb in b.triggers):
         return b
     return replace(b, triggers=(a.triggers[0],))
 
 
 def _set_first_action(rule: Rule, action: Action, guards: tuple[Condition, ...]) -> Rule:
-    gas = list(rule.guarded_actions)
-    target = GuardedAction(action, guards)
-    if gas:
-        gas[0] = target
-    else:
-        gas.append(target)
-    return replace(rule, guarded_actions=tuple(gas))
+    return replace(rule, guarded_actions=(GuardedAction(action, guards),) + rule.guarded_actions[1:])
 
 
-def _new_condition(item: str, op: str, value: Value) -> Condition:
-    return Condition("c0", ConditionKind.ITEM_COMPARISON, item=item, op=op, value=value)
+def _on_guard(item: str) -> Condition:
+    return Condition("c0", ConditionKind.ITEM_COMPARISON, item=item, op="==", value=make_value("ON"))
 
 
 def _new_action(kind: ActionKind, item: str, value: Value) -> Action:
@@ -262,11 +235,12 @@ def _new_action(kind: ActionKind, item: str, value: Value) -> Action:
 class TransformContext:
     ruleset: RuleSet
     fresh: bool
+    post_update: bool  # trigger cascades fire through postUpdate
 
     def guard_item(self, a: Rule, b: Rule, avoid: set[str]) -> str:
         """An item to hang an injected guard on."""
         if not self.fresh:
-            items, _ = _pair_vocabulary(a, b)
+            items, _ = _vocabulary(a, b)
             for item in items:
                 if item not in avoid:
                     return item
@@ -278,78 +252,61 @@ class TransformContext:
         return _fresh_item(f"{current}_mut", _all_item_names(self.ruleset))
 
 
-def transform_sac(ctx: TransformContext, a: Rule, b: Rule) -> tuple[Rule, Rule, dict]:
+def _action_contradiction(ctx: TransformContext, a: Rule, b: Rule, weak: bool) -> tuple[Rule, Rule, dict]:
+    """Rule B commands a value conflicting with rule A's first action; WAC guards it."""
     x = a.guarded_actions[0].action
     item = ctx.cascade_item(x.item)
-    _, vocab = _pair_vocabulary(a, b)
+    _, vocab = _vocabulary(a, b)
     counter = conflicting_value(x.value, vocab)
-    new_a = _strip_conditions(a)
-    if item != x.item:
-        new_a = _set_first_action(new_a, _new_action(x.kind, item, x.value), ())
-    new_b = _strip_conditions(b)
-    new_b = _set_first_action(new_b, _new_action(ActionKind.SEND_COMMAND, item, counter), ())
-    new_b = _align_triggers(new_a, new_b)
     injected = {"item": item, "value_a": x.value.text, "value_b": counter.text}
-    return new_a, new_b, injected
+    if weak:
+        guard_items = {c.item for c in a.all_conditions() if c.item}
+        guard = _on_guard(ctx.guard_item(a, b, avoid={item} | guard_items))
+        guards = (guard,)
+        injected["condition_added"] = f"{guard.item} == ON"
+    else:
+        a, b, guards = _strip_conditions(a), _strip_conditions(b), ()
+    new_a = _set_first_action(a, replace(x, item=item), a.guarded_actions[0].guards)
+    new_b = _set_first_action(b, _new_action(ActionKind.SEND_COMMAND, item, counter), guards)
+    return new_a, _align_triggers(new_a, new_b), injected
+
+
+def transform_sac(ctx: TransformContext, a: Rule, b: Rule) -> tuple[Rule, Rule, dict]:
+    return _action_contradiction(ctx, a, b, weak=False)
 
 
 def transform_wac(ctx: TransformContext, a: Rule, b: Rule) -> tuple[Rule, Rule, dict]:
+    return _action_contradiction(ctx, a, b, weak=True)
+
+
+def _cascade_action(ctx: TransformContext, a: Rule) -> tuple[Action, dict]:
+    """Rule A's first action, re-issued as the cascade's command or update."""
     x = a.guarded_actions[0].action
-    item = ctx.cascade_item(x.item)
-    _, vocab = _pair_vocabulary(a, b)
-    counter = conflicting_value(x.value, vocab)
-    guard_items = {c.item for ga in a.guarded_actions for c in ga.guards if c.item}
-    guard_items |= {c.item for c in a.conditions if c.item}
-    guard = _new_condition(ctx.guard_item(a, b, avoid={item} | guard_items), "==", make_value("ON"))
-    new_a = a
-    if item != x.item:
-        new_a = _set_first_action(a, _new_action(x.kind, item, x.value), a.guarded_actions[0].guards)
-    new_b = _set_first_action(b, _new_action(ActionKind.SEND_COMMAND, item, counter), (guard,))
-    new_b = _align_triggers(new_a, new_b)
-    injected = {
-        "item": item,
-        "value_a": x.value.text,
-        "value_b": counter.text,
-        "condition_added": f"{guard.item} == ON",
-    }
-    return new_a, new_b, injected
+    kind = ActionKind.POST_UPDATE if ctx.post_update else ActionKind.SEND_COMMAND
+    action = _new_action(kind, ctx.cascade_item(x.item), x.value)
+    cascade = "postUpdate" if ctx.post_update else "sendCommand"
+    return action, {"item": action.item, "value": action.value.text, "cascade": cascade}
 
 
-def _cascade_pieces(
-    ctx: TransformContext, a: Rule, post_update: bool
-) -> tuple[Rule, Action, Trigger]:
-    x = a.guarded_actions[0].action
-    item = ctx.cascade_item(x.item)
-    kind = ActionKind.POST_UPDATE if post_update else ActionKind.SEND_COMMAND
-    action = _new_action(kind, item, x.value)
-    if post_update:
-        # The command-channel trigger is what strict matching rejects.
-        trigger = Trigger("t0", TriggerKind.ITEM_COMMAND, item=item, command_value=x.value)
-    else:
-        trigger = Trigger("t0", TriggerKind.ITEM_CHANGED, item=item, to_value=x.value)
-    return replace(a), action, trigger
-
-
-def transform_stc(ctx: TransformContext, a: Rule, b: Rule, post_update: bool = False) -> tuple[Rule, Rule, dict]:
-    new_a, action, trigger = _cascade_pieces(ctx, a, post_update)
-    if not post_update:
-        trigger = Trigger("t0", TriggerKind.ITEM_COMMAND, item=action.item, command_value=action.value)
-    new_a = _strip_conditions(_set_first_action(new_a, action, ()))
+def transform_stc(ctx: TransformContext, a: Rule, b: Rule) -> tuple[Rule, Rule, dict]:
+    action, injected = _cascade_action(ctx, a)
+    trigger = Trigger("t0", TriggerKind.ITEM_COMMAND, item=action.item, command_value=action.value)
+    new_a = _strip_conditions(_set_first_action(a, action, ()))
     new_b = _strip_conditions(replace(b, triggers=(trigger,)))
-    injected = {
-        "item": action.item,
-        "value": action.value.text,
-        "cascade": "postUpdate" if post_update else "sendCommand",
-    }
     return new_a, new_b, injected
 
 
-def transform_wtc(ctx: TransformContext, a: Rule, b: Rule, post_update: bool = False) -> tuple[Rule, Rule, dict]:
-    new_a, action, trigger = _cascade_pieces(ctx, a, post_update)
-    guards_x = new_a.conditions + new_a.guarded_actions[0].guards
+def transform_wtc(ctx: TransformContext, a: Rule, b: Rule) -> tuple[Rule, Rule, dict]:
+    action, injected = _cascade_action(ctx, a)
+    if ctx.post_update:
+        # The command-channel trigger is what strict matching rejects.
+        trigger = Trigger("t0", TriggerKind.ITEM_COMMAND, item=action.item, command_value=action.value)
+    else:
+        trigger = Trigger("t0", TriggerKind.ITEM_CHANGED, item=action.item, to_value=action.value)
+    guards_x = effective_guards(a, a.guarded_actions[0])
     window = next((c.window for c in guards_x if c.kind is ConditionKind.TIME_WINDOW), DEFAULT_WINDOW)
     tw = Condition("c0", ConditionKind.TIME_WINDOW, window=window)
-    new_a = _set_first_action(new_a, action, new_a.guarded_actions[0].guards)
+    new_a = _set_first_action(a, action, a.guarded_actions[0].guards)
     new_b = replace(b, triggers=(trigger,))
     if new_b.guarded_actions:
         new_b = replace(
@@ -358,17 +315,12 @@ def transform_wtc(ctx: TransformContext, a: Rule, b: Rule, post_update: bool = F
         )
     else:
         new_b = replace(new_b, conditions=new_b.conditions + (tw,))
-    injected = {
-        "item": action.item,
-        "value": action.value.text,
-        "cascade": "postUpdate" if post_update else "sendCommand",
-        "condition_added": f"time window {window[0] // 60:02d}:{window[0] % 60:02d}-{window[1] // 60:02d}:{window[1] % 60:02d}",
-    }
+    injected["condition_added"] = f"time window {window[0] // 60:02d}:{window[0] % 60:02d}-{window[1] // 60:02d}:{window[1] % 60:02d}"
     return new_a, new_b, injected
 
 
 def _pick_enablable_guard(ctx: TransformContext, a: Rule, b: Rule, y: GuardedAction) -> tuple[Condition, Value]:
-    _, vocab = _pair_vocabulary(a, b)
+    _, vocab = _vocabulary(a, b)
     for cond in y.guards:
         if cond.kind is ConditionKind.ITEM_COMPARISON:
             item = ctx.cascade_item(cond.item)
@@ -377,8 +329,7 @@ def _pick_enablable_guard(ctx: TransformContext, a: Rule, b: Rule, y: GuardedAct
             if value is not None:
                 return cond, value
             return replace(cond, op="=="), cond.value
-    item = ctx.guard_item(a, b, avoid=set())
-    cond = _new_condition(item, "==", make_value("ON"))
+    cond = _on_guard(ctx.guard_item(a, b, avoid=set()))
     return cond, cond.value
 
 
@@ -386,8 +337,7 @@ def _ensure_rule_a_condition(ctx: TransformContext, a: Rule, enabler: GuardedAct
     """CC requires a condition on rule A; guard the injected enabler if needed."""
     if a.all_conditions():
         return enabler
-    item = ctx.guard_item(a, a, avoid=avoid)
-    return GuardedAction(enabler.action, (_new_condition(item, "==", make_value("ON")),))
+    return GuardedAction(enabler.action, (_on_guard(ctx.guard_item(a, a, avoid=avoid)),))
 
 
 def _first_guarded_index(rule: Rule) -> int:
@@ -397,44 +347,36 @@ def _first_guarded_index(rule: Rule) -> int:
     raise MutationError("no guarded action on rule B")
 
 
-def transform_scc(ctx: TransformContext, a: Rule, b: Rule) -> tuple[Rule, Rule, dict]:
+def _condition_cascade(ctx: TransformContext, a: Rule, b: Rule, weak: bool) -> tuple[Rule, Rule, dict]:
+    """Rule A enables the guard of rule B's first guarded action; WCC adds a blocker."""
     yi = _first_guarded_index(b)
     y = b.guarded_actions[yi]
     cond, value = _pick_enablable_guard(ctx, a, b, y)
-    gas = list(b.guarded_actions)
-    gas[yi] = GuardedAction(y.action, (cond,))
-    new_b = replace(b, conditions=(), guarded_actions=tuple(gas))
     enabler = GuardedAction(_new_action(ActionKind.SEND_COMMAND, cond.item, value), ())
     enabler = _ensure_rule_a_condition(ctx, a, enabler, avoid={cond.item})
     new_a = replace(a, guarded_actions=a.guarded_actions + (enabler,))
-    new_b = _align_triggers(new_a, new_b)
     injected = {
         "item": cond.item,
         "value": value.text,
         "condition": f"{cond.item} {cond.op} {cond.value.text}",
     }
-    return new_a, new_b, injected
+    if weak:
+        guards = (cond, Condition("c0", ConditionKind.TIME_WINDOW, window=DEFAULT_WINDOW))
+        injected["blocker"] = "time window"
+    else:
+        guards, b = (cond,), replace(b, conditions=())
+    gas = list(b.guarded_actions)
+    gas[yi] = GuardedAction(y.action, guards)
+    new_b = replace(b, guarded_actions=tuple(gas))
+    return new_a, _align_triggers(new_a, new_b), injected
+
+
+def transform_scc(ctx: TransformContext, a: Rule, b: Rule) -> tuple[Rule, Rule, dict]:
+    return _condition_cascade(ctx, a, b, weak=False)
 
 
 def transform_wcc(ctx: TransformContext, a: Rule, b: Rule) -> tuple[Rule, Rule, dict]:
-    yi = _first_guarded_index(b)
-    y = b.guarded_actions[yi]
-    cond, value = _pick_enablable_guard(ctx, a, b, y)
-    blocker = Condition("c0", ConditionKind.TIME_WINDOW, window=DEFAULT_WINDOW)
-    gas = list(b.guarded_actions)
-    gas[yi] = GuardedAction(y.action, (cond, blocker))
-    new_b = replace(b, guarded_actions=tuple(gas))
-    enabler = GuardedAction(_new_action(ActionKind.SEND_COMMAND, cond.item, value), ())
-    enabler = _ensure_rule_a_condition(ctx, a, enabler, avoid={cond.item})
-    new_a = replace(a, guarded_actions=a.guarded_actions + (enabler,))
-    new_b = _align_triggers(new_a, new_b)
-    injected = {
-        "item": cond.item,
-        "value": value.text,
-        "condition": f"{cond.item} {cond.op} {cond.value.text}",
-        "blocker": "time window",
-    }
-    return new_a, new_b, injected
+    return _condition_cascade(ctx, a, b, weak=True)
 
 
 # ---------------------------------------------------------------------------
@@ -448,48 +390,44 @@ class MutationOperator:
     precondition: Callable[[Rule, Rule], bool]
     transform: Callable[[TransformContext, Rule, Rule], tuple[Rule, Rule, dict]]
 
+    @property
+    def trigger_cascade(self) -> bool:
+        """Trigger cascades are the operators with a postUpdate variant."""
+        return aggregate(self.target) is CoarseCategory.TC
 
-def _has_action(rule: Rule) -> bool:
-    return bool(rule.guarded_actions)
+    def eligible(self, a: Rule, b: Rule) -> bool:
+        """Whether the operator can rewrite the pair (a, b) of one ruleset."""
+        return a is not b and self.precondition(a, b) and (self.ordered_pairs or a.index < b.index)
 
 
-def _has_guarded_action(rule: Rule) -> bool:
-    return any(ga.guards for ga in rule.guarded_actions)
+def _both_act(a: Rule, b: Rule) -> bool:
+    return bool(a.guarded_actions) and bool(b.guarded_actions)
+
+
+def _first_acts(a: Rule, b: Rule) -> bool:
+    return bool(a.guarded_actions)
+
+
+def _second_has_guard(a: Rule, b: Rule) -> bool:
+    return any(ga.guards for ga in b.guarded_actions)
 
 
 OPERATORS: dict[FineCategory, MutationOperator] = {
-    FineCategory.SAC: MutationOperator(
-        FineCategory.SAC, False, lambda a, b: _has_action(a) and _has_action(b), transform_sac
-    ),
-    FineCategory.WAC: MutationOperator(
-        FineCategory.WAC, False, lambda a, b: _has_action(a) and _has_action(b), transform_wac
-    ),
-    FineCategory.STC: MutationOperator(
-        FineCategory.STC, True, lambda a, b: _has_action(a), transform_stc
-    ),
-    FineCategory.WTC: MutationOperator(
-        FineCategory.WTC, True, lambda a, b: _has_action(a), transform_wtc
-    ),
-    FineCategory.SCC: MutationOperator(
-        FineCategory.SCC, True, lambda a, b: _has_guarded_action(b), transform_scc
-    ),
-    FineCategory.WCC: MutationOperator(
-        FineCategory.WCC, True, lambda a, b: _has_guarded_action(b), transform_wcc
-    ),
+    op.target: op
+    for op in (
+        MutationOperator(FineCategory.SAC, False, _both_act, transform_sac),
+        MutationOperator(FineCategory.WAC, False, _both_act, transform_wac),
+        MutationOperator(FineCategory.STC, True, _first_acts, transform_stc),
+        MutationOperator(FineCategory.WTC, True, _first_acts, transform_wtc),
+        MutationOperator(FineCategory.SCC, True, _second_has_guard, transform_scc),
+        MutationOperator(FineCategory.WCC, True, _second_has_guard, transform_wcc),
+    )
 }
 
 
 def enumerate_eligible_pairs(ruleset: RuleSet, operator: MutationOperator) -> list[tuple[str, str]]:
     """Rule-id pairs the operator can rewrite, in deterministic order."""
-    rules = ruleset.rules
-    pairs: list[tuple[str, str]] = []
-    for i, a in enumerate(rules):
-        for j, b in enumerate(rules):
-            if i == j or (not operator.ordered_pairs and i > j):
-                continue
-            if operator.precondition(a, b):
-                pairs.append((a.id, b.id))
-    return pairs
+    return [(a.id, b.id) for a in ruleset.rules for b in ruleset.rules if operator.eligible(a, b)]
 
 
 # ---------------------------------------------------------------------------
@@ -565,20 +503,17 @@ def apply_operator(
     output_path: str = "",
 ) -> tuple[str, MutantRecord]:
     """Rewrite one pair; returns mutant source text plus its record."""
-    if pair not in enumerate_eligible_pairs(seed.ruleset, operator):
-        raise MutationError(f"pair {pair} is not eligible for {operator.target.value}")
     by_id = {r.id: r for r in seed.ruleset.rules}
-    a, b = by_id[pair[0]], by_id[pair[1]]
-    post_update = post_update_variant and operator.target in (FineCategory.STC, FineCategory.WTC)
+    a, b = by_id.get(pair[0]), by_id.get(pair[1])
+    if a is None or b is None or not operator.eligible(a, b):
+        raise MutationError(f"pair {pair} is not eligible for {operator.target.value}")
+    post_update = post_update_variant and operator.trigger_cascade
 
     last_error: MutationError | None = None
     for fresh in (False, True):
-        ctx = TransformContext(seed.ruleset, fresh)
+        ctx = TransformContext(seed.ruleset, fresh, post_update)
         try:
-            if operator.target in (FineCategory.STC, FineCategory.WTC):
-                new_a, new_b, injected = operator.transform(ctx, a, b, post_update)
-            else:
-                new_a, new_b, injected = operator.transform(ctx, a, b)
+            new_a, new_b, injected = operator.transform(ctx, a, b)
             mutant_text = _splice(seed, {a.id: new_a, b.id: new_b})
             miss = _validate(seed, mutant_text, pair, operator.target, expect_strict_miss=post_update)
         except MutationError as exc:
@@ -613,18 +548,6 @@ class Sample:
     rng_seed: int
 
 
-def _enumerate_jobs(
-    seeds: list[Seed], operators: Iterable[FineCategory]
-) -> list[tuple[Seed, MutationOperator, tuple[str, str]]]:
-    jobs = []
-    for seed in seeds:
-        for cat in operators:
-            op = OPERATORS[cat]
-            for pair in enumerate_eligible_pairs(seed.ruleset, op):
-                jobs.append((seed, op, pair))
-    return jobs
-
-
 def generate_corpus(
     seeds: list[Seed],
     strategy: Exhaustive | Sample,
@@ -641,7 +564,12 @@ def generate_corpus(
     if not os.access(out, os.W_OK):
         raise MutationError(f"output directory is not writable: {out}")
 
-    jobs = _enumerate_jobs(seeds, operators)
+    jobs = [
+        (seed, OPERATORS[cat], pair)
+        for seed in seeds
+        for cat in operators
+        for pair in enumerate_eligible_pairs(seed.ruleset, OPERATORS[cat])
+    ]
     if isinstance(strategy, Sample):
         if strategy.n > len(jobs):
             raise MutationError(f"sample size {strategy.n} exceeds {len(jobs)} eligible combinations")
@@ -650,7 +578,7 @@ def generate_corpus(
 
     manifest = MutantManifest()
     for k, (seed, op, pair) in enumerate(jobs, start=1):
-        suffix = "__pu" if post_update_cascades and op.target in (FineCategory.STC, FineCategory.WTC) else ""
+        suffix = "__pu" if post_update_cascades and op.trigger_cascade else ""
         mutant_id = f"m{k:04d}__{Path(seed.path).stem}__{op.target.value}__{pair[0]}-{pair[1]}{suffix}"
         path = out / f"{mutant_id}.rules"
         text, record = apply_operator(

@@ -52,10 +52,6 @@ class PromptTemplate:
         if self.taxonomy not in ("six", "three"):
             raise ValueError("taxonomy must be 'six' or 'three'")
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return FINE_LABELS if self.taxonomy == "six" else COARSE_LABELS
-
 
 def _example_block(names: tuple[str, ...], shots: int) -> str:
     parts = []

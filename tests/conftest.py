@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,14 @@ def data_dir() -> Path:
 @pytest.fixture(scope="session")
 def golden_dir() -> Path:
     return GOLDEN_DIR
+
+
+def load_bench_generator():
+    """The benchmark's seeded `.rules` generator, loaded from `bench/gen.py`."""
+    spec = importlib.util.spec_from_file_location("bench_gen", Path(__file__).parent.parent / "bench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def parse_text(text: str, path: str = "<test>"):

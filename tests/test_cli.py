@@ -226,6 +226,21 @@ class TestConfig:
         assert strict_code == 0 and lenient_code == 1
         assert "STC" in out
 
+    def test_eval_detector_respects_config_file(self, capsys, tmp_path):
+        # Every postUpdate cascade variant of the bundled seeds is a strict miss.
+        corpus = tmp_path / "pu"
+        code, _, _ = run_cli(capsys, "mutate", "--out-dir", str(corpus), "--post-update-cascades", "--operators", "STC,WTC")
+        assert code == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"strict_event_matching": False}), encoding="utf-8")
+        eval_args = ("eval", "--manifest", str(corpus / "manifest.jsonl"), "--predictor", "detector")
+        _, strict_out, _ = run_cli(capsys, *eval_args)
+        _, config_out, _ = run_cli(capsys, *eval_args, "--config", str(config))
+        _, flag_out, _ = run_cli(capsys, *eval_args, "--lenient-matching")
+        assert strict_out.splitlines()[2].endswith("| 0.00%")
+        assert config_out == flag_out and flag_out.splitlines()[2].endswith("| 100.00%")
+        assert flag_out.splitlines()[-1] == "samples: 140, parse failures: 0"
+
 
 class TestStartUp:
     SRC = str(Path(__file__).parent.parent / "src")

@@ -1,15 +1,13 @@
 from __future__ import annotations
 
-import importlib.util
 import random
 from collections import Counter
-from pathlib import Path
 
 import oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import DATA_DIR, parse_text
+from conftest import DATA_DIR, load_bench_generator, parse_text
 
 import ritkit.detector
 from ritkit.detector import (
@@ -26,15 +24,7 @@ from ritkit.report import render_structured, render_text
 LENIENT = DetectorConfig(strict_event_matching=False)
 
 
-def _load_generator():
-    """The benchmark's seeded `.rules` generator, loaded from `bench/gen.py`."""
-    spec = importlib.util.spec_from_file_location("bench_gen", Path(__file__).parent.parent / "bench" / "gen.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-GENERATOR = _load_generator()
+GENERATOR = load_bench_generator()
 
 
 def family(findings, coarse, rule_a=None):

@@ -4,9 +4,9 @@ import json
 
 import pytest
 from conftest import parse_text
-from mock_backend import StubBackend
+from mock_backend import MockBackendServer, StubBackend
 
-from ritkit.client import AdjudicatorUnavailable, StubAdjudicator
+from ritkit.client import AdjudicatorUnavailable, BackendConfig, HttpBackend, StubAdjudicator
 from ritkit.detector import FindingReport, FineCategory, detect_file, finding_key
 from ritkit.hybrid import (
     DEFAULT_ROUTED_SET,
@@ -209,6 +209,40 @@ class TestFailOpen:
         # The answer given before the outage stays on record.
         records = {(r.finding_ref, r.subtask, r.uphold) for r in result.audit}
         assert (finding_key(wac), "trigger-overlap", False) in records
+
+
+class TestBackendOutage:
+    @staticmethod
+    def run(script, report):
+        with MockBackendServer(script) as server:
+            cfg = BackendConfig(server.endpoint, "test-model", timeout=5.0, max_retries=2, backoff_base=0)
+            backend = HttpBackend(cfg)
+            result = run_pipeline(report, ModelAdjudicator(backend), frozenset({FineCategory.WAC, FineCategory.STC}))
+            backend.connection.close()
+        return result, len(server.requests), cfg.max_retries + 1
+
+    @pytest.fixture()
+    def doubled_report(self, mixed_report):
+        # Four routed findings: WAC, STC, WAC, STC.
+        return FindingReport(mixed_report.file, mixed_report.findings * 2)
+
+    def test_a_backend_that_gave_up_is_not_asked_again(self, doubled_report):
+        result, requests, attempts = self.run([(503, None)] * 12, doubled_report)
+        assert requests == attempts
+        assert result.final == doubled_report and result.audit == ()
+        assert result.fail_open_refs == tuple(sorted({finding_key(f) for f in doubled_report.findings}))
+
+    def test_answers_before_the_outage_stay_in_the_audit_log(self, doubled_report):
+        first = doubled_report.findings[0]
+        result, requests, attempts = self.run([(200, "YES"), (200, "NO")] + [(503, None)] * 9, doubled_report)
+        assert requests == 2 + attempts
+        assert [(r.finding_ref, r.subtask, r.uphold) for r in result.audit] == [
+            (finding_key(first), "trigger-overlap", True),
+            (finding_key(first), "action-conflict", False),
+        ]
+        assert result.discarded == (first,)
+        assert result.final.findings == doubled_report.findings[1:]
+        assert result.fail_open_refs == tuple(sorted({finding_key(f) for f in doubled_report.findings[1:]}))
 
 
 class TestAudit:

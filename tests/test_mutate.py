@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import hashlib
+import json
+import os
 from collections import Counter
+from pathlib import Path
 
+import oracle
 import pytest
+from conftest import load_bench_generator
 
 from ritkit.detector import CATEGORY_ORDER, DetectorConfig, FineCategory, detect_file
 from ritkit.mutate import (
@@ -48,6 +54,29 @@ def seeds():
 @pytest.fixture()
 def small_seed():
     return Seed.from_text(TWO_RULE_SEED, path="two_rule_seed.rules")
+
+
+@pytest.fixture(scope="module")
+def mutation_dataset(seeds, tmp_path_factory):
+    """The bundled seeds' exhaustive corpus and their postUpdate-cascade corpus."""
+    corpora = {}
+    for mode, post_update in (("exhaustive", False), ("post-update-cascades", True)):
+        out = tmp_path_factory.mktemp(mode)
+        corpora[mode] = (generate_corpus(seeds, Exhaustive(), out, post_update_cascades=post_update), out)
+    return corpora
+
+
+def corpus_digest(out_dir: Path) -> str:
+    """SHA-256 of a corpus's mutant files and manifest, paths reduced to file names."""
+    prefixes = [json.dumps(f"{d}{os.sep}")[1:-1].encode() for d in (out_dir, bundled_seed_paths()[0].parent)]
+    digest = hashlib.sha256()
+    for path in sorted(out_dir.iterdir()):
+        data = path.read_bytes()
+        if path.name == "manifest.jsonl":
+            for prefix in prefixes:
+                data = data.replace(prefix, b"")
+        digest.update(path.name.encode() + b"\0" + data + b"\0")
+    return digest.hexdigest()
 
 
 def pair_categories(text: str, pair: tuple[str, str], strict: bool = True) -> set[FineCategory]:
@@ -135,6 +164,32 @@ class TestApplyOperator:
             assert category in pair_categories(text, pair, strict=False)
 
 
+class TestFreshItemFallback:
+    # SAC and WAC on (r1, r2) first command Lamp OFF in r2, which fires r3: a
+    # cascade outside the pair, so the retry moves the injection to a fresh item.
+    LEAKY_SEED = (
+        'rule "r1"\nwhen\n    System started\nthen\n    sendCommand(Lamp, ON)\nend\n'
+        'rule "r2"\nwhen\n    Time cron "0 0 8 * * ?"\nthen\n    sendCommand(Fan, ON)\nend\n'
+        'rule "r3"\nwhen\n    Item Lamp changed to OFF\nthen\n    sendCommand(Siren, ON)\nend\n'
+    )
+
+    @pytest.mark.parametrize("category", [FineCategory.SAC, FineCategory.WAC])
+    def test_retry_with_fresh_names(self, category):
+        seed = Seed.from_text(self.LEAKY_SEED, path="leaky.rules")
+        text, record = apply_operator(seed, ("r1", "r2"), OPERATORS[category])
+        assert record.injected["item"] == "Lamp_mut" and record.miss_cause is None
+        if category is FineCategory.WAC:
+            assert record.injected["condition_added"] == "mut_guard_proxy == ON"
+        assert "sendCommand(Lamp_mut, OFF)" in text
+        assert category in pair_categories(text, ("r1", "r2"))
+
+    def test_both_attempts_failing_is_an_error(self):
+        seed = Seed.from_text(load_bench_generator().generate_rules(67, 3, 4), path="gen67.rules")
+        assert detect_file(seed.ruleset).total == 0
+        with pytest.raises(MutationError, match=r"^transform inapplicable for WAC on \('r1', 'r2'\): "):
+            apply_operator(seed, ("r1", "r2"), OPERATORS[FineCategory.WAC])
+
+
 class TestCorpus:
     def test_exhaustive_corpus_properties(self, seeds, tmp_path):
         manifest = generate_corpus(seeds, Exhaustive(), tmp_path / "corpus")
@@ -216,3 +271,27 @@ class TestBundledSeeds:
         for cat in CATEGORY_ORDER:
             count = sum(len(enumerate_eligible_pairs(s.ruleset, OPERATORS[cat])) for s in seeds)
             assert count > 0, cat
+
+
+class TestMutationDataset:
+    def test_every_record_is_confirmed_by_the_oracle(self, mutation_dataset):
+        records = [r for manifest, _ in mutation_dataset.values() for r in manifest.records]
+        for record in records:
+            rs = parse_ruleset(SourceFile.from_path(record.output_path))
+
+            def on_pair(strict: bool) -> set[str]:
+                found = oracle.oracle_detect_file(rs, strict)
+                return {cat for cat, a, b, _ in found if {a, b} == {record.rule_a, record.rule_b}}
+
+            if record.miss_cause is None:
+                assert record.operator in on_pair(strict=True), record.mutant_id
+            else:
+                assert record.miss_cause == MISS_STRICT_MATCHING, record.mutant_id
+                assert record.operator not in on_pair(strict=True), record.mutant_id
+                assert record.operator in on_pair(strict=False), record.mutant_id
+        assert (len(records), sum(r.miss_cause is not None for r in records)) == (544, 140)
+
+    def test_corpora_match_the_golden_digest(self, mutation_dataset, golden_dir):
+        lines = (golden_dir / "mutation_corpus.sha256").read_text(encoding="utf-8").splitlines()
+        want = {mode: digest for digest, mode in (line.split() for line in lines)}
+        assert {mode: corpus_digest(out) for mode, (_, out) in mutation_dataset.items()} == want
