@@ -116,7 +116,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
             return _fail(f"cannot read {path}: {exc}")
         ruleset = parse_ruleset(source)
         for diag in ruleset.diagnostics:
-            print(f"{path}:{diag.loc.start_line}:{diag.loc.start_col}: {diag.severity}: {diag.message}", file=sys.stderr)
+            print(f"{path}:{diag.line}:{diag.col}: {diag.severity}: {diag.message}", file=sys.stderr)
         reports.append(detect_file(ruleset, detector_config))
 
     fmt = args.format or config.format
@@ -262,7 +262,10 @@ def _predictions_from_file(path: str) -> dict[str, tuple[str, ...]]:
             if not line.strip():
                 continue
             obj = json.loads(line)
-            out[obj["instance_id"]] = tuple(obj["labels"])
+            labels = obj["labels"]
+            if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+                raise ValueError(f"instance {obj['instance_id']}: labels must be a JSON list of strings")
+            out[obj["instance_id"]] = tuple(labels)
     return out
 
 
@@ -296,7 +299,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.predictions:
         try:
             predictions = _predictions_from_file(args.predictions)
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
+        except (OSError, KeyError, ValueError) as exc:  # ValueError covers json.JSONDecodeError
             return _fail(f"cannot load predictions {args.predictions}: {exc}")
         dataset_ids = {e.instance_id for e in dataset}
         orphans = sorted(set(predictions) ^ dataset_ids)

@@ -255,14 +255,25 @@ def detector_predictor(taxonomy: str = "six", strict: bool = True) -> Predictor:
 
 
 def backend_predictor(template, backend) -> Predictor:
-    """Blind classification through a text backend (hybrid recovery mode)."""
-    from pathlib import Path as _Path
+    """Blind classification through a text backend (hybrid recovery mode).
 
-    from .hybrid import recover_negatives
+    Once a call fails as `backend:<error_class>`, every later instance gets the
+    same failure without a call. Each instance file is still read, so a
+    missing one still propagates.
+    """
+    from .hybrid import BACKEND_FAILURE, recover_negatives
+
+    gave_up: ParseFailure | None = None  # the first backend failure
 
     def predict(entry: GroundTruthEntry) -> Prediction:
-        text = _Path(entry.source).read_text(encoding="utf-8")
-        return recover_negatives(text, template, backend)
+        nonlocal gave_up
+        text = Path(entry.source).read_text(encoding="utf-8")
+        if gave_up is not None:
+            return gave_up
+        pred = recover_negatives(text, template, backend)
+        if isinstance(pred, ParseFailure) and pred.kind.startswith(BACKEND_FAILURE):
+            gave_up = pred
+        return pred
 
     return predict
 

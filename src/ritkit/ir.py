@@ -78,17 +78,6 @@ def values_equal(a: Value | None, b: Value | None) -> bool:
     return a.kind is b.kind and a.text == b.text
 
 
-@dataclass(frozen=True)
-class Span:
-    start_line: int
-    start_col: int
-    end_line: int
-    end_col: int
-
-
-ZERO_SPAN = Span(1, 1, 1, 1)
-
-
 class TriggerKind(Enum):
     ITEM_CHANGED = "item-changed"
     ITEM_COMMAND = "item-command"
@@ -130,7 +119,6 @@ class Trigger:
     cron: CronSpec | None = None
     op: str | None = None
     value: Value | None = None
-    loc: Span = ZERO_SPAN
 
 
 class ConditionKind(Enum):
@@ -150,7 +138,6 @@ class Condition:
     op: str | None = None
     value: Value | None = None
     window: tuple[int, int] | None = None  # minutes since midnight, inclusive
-    loc: Span = ZERO_SPAN
 
 
 class ActionKind(Enum):
@@ -164,7 +151,6 @@ class Action:
     kind: ActionKind
     item: str
     value: Value
-    loc: Span = ZERO_SPAN
 
 
 @dataclass(frozen=True)
@@ -180,7 +166,7 @@ class Rule:
     triggers: tuple[Trigger, ...]
     guarded_actions: tuple[GuardedAction, ...] = ()
     conditions: tuple[Condition, ...] = ()  # rule-level (when-clause) conditions
-    loc: Span = ZERO_SPAN
+    span: tuple[int, int] = (0, 0)  # character offsets of the block in its file, end exclusive
 
     @property
     def index(self) -> int:
@@ -211,7 +197,8 @@ class Diagnostic:
     severity: str  # "error" | "warning"
     code: str
     message: str
-    loc: Span = ZERO_SPAN
+    line: int = 1  # 1-based position of the token it reports
+    col: int = 1
 
 
 @dataclass(frozen=True)

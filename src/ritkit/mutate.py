@@ -434,21 +434,13 @@ def enumerate_eligible_pairs(ruleset: RuleSet, operator: MutationOperator) -> li
 # Application and validation
 
 
-def _char_offset(source: SourceFile, line: int, col: int) -> int:
-    return source.line_offsets[line - 1] + col - 1
-
-
 def _splice(seed: Seed, replacements: dict[str, Rule]) -> str:
-    source = SourceFile.from_text(seed.text, seed.path)
-    spans = []
-    for rule in seed.ruleset.rules:
-        if rule.id in replacements:
-            start = _char_offset(source, rule.loc.start_line, rule.loc.start_col)
-            end = _char_offset(source, rule.loc.end_line, rule.loc.end_col)
-            spans.append((start, end, rule_source(replacements[rule.id])))
+    """The seed text with each replaced rule block rewritten in place."""
     text = seed.text
-    for start, end, rendered in sorted(spans, reverse=True):
-        text = text[:start] + rendered + text[end:]
+    for rule in reversed(seed.ruleset.rules):  # later blocks first, so earlier spans stay valid
+        if rule.id in replacements:
+            start, end = rule.span
+            text = text[:start] + rule_source(replacements[rule.id]) + text[end:]
     return text
 
 
@@ -555,7 +547,10 @@ def generate_corpus(
     operators: Iterable[FineCategory] = CATEGORY_ORDER,
     post_update_cascades: bool = False,
 ) -> MutantManifest:
-    """Write mutant files plus a line-delimited manifest; returns the manifest."""
+    """Write mutant files plus a line-delimited manifest; returns the manifest.
+
+    A run that fails part-way removes every file it wrote before re-raising.
+    """
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -577,21 +572,31 @@ def generate_corpus(
         jobs = rng.sample(jobs, strategy.n)
 
     manifest = MutantManifest()
-    for k, (seed, op, pair) in enumerate(jobs, start=1):
-        suffix = "__pu" if post_update_cascades and op.trigger_cascade else ""
-        mutant_id = f"m{k:04d}__{Path(seed.path).stem}__{op.target.value}__{pair[0]}-{pair[1]}{suffix}"
-        path = out / f"{mutant_id}.rules"
-        text, record = apply_operator(
-            seed,
-            pair,
-            op,
-            post_update_variant=post_update_cascades,
-            mutant_id=mutant_id,
-            output_path=str(path),
-        )
-        path.write_text(text, encoding="utf-8")
-        manifest.records.append(record)
-    manifest.save(out / "manifest.jsonl")
+    written: list[Path] = []
+    try:
+        for k, (seed, op, pair) in enumerate(jobs, start=1):
+            suffix = "__pu" if post_update_cascades and op.trigger_cascade else ""
+            mutant_id = f"m{k:04d}__{Path(seed.path).stem}__{op.target.value}__{pair[0]}-{pair[1]}{suffix}"
+            path = out / f"{mutant_id}.rules"
+            text, record = apply_operator(
+                seed,
+                pair,
+                op,
+                post_update_variant=post_update_cascades,
+                mutant_id=mutant_id,
+                output_path=str(path),
+            )
+            written.append(path)
+            path.write_text(text, encoding="utf-8")
+            manifest.records.append(record)
+        manifest_path = out / "manifest.jsonl"
+        written.append(manifest_path)
+        manifest.save(manifest_path)
+    except BaseException:
+        # A failed run leaves no half-written corpus behind.
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
     return manifest
 
 

@@ -36,7 +36,6 @@ from .ir import (
     GuardedAction,
     Rule,
     RuleSet,
-    Span,
     Trigger,
     TriggerKind,
     Value,
@@ -59,15 +58,6 @@ class _BlockError(Exception):
         super().__init__(message)
         self.message = message
         self.token = token
-
-
-def _span(tok: Token) -> Span:
-    end_col = tok.col + len(tok.text)
-    return Span(tok.line, tok.col, tok.line, end_col)
-
-
-def _span_between(first: Token, last: Token) -> Span:
-    return Span(first.line, first.col, last.line, last.col + len(last.text))
 
 
 class _BlockParser:
@@ -144,9 +134,8 @@ class _BlockParser:
         end_tok = self.expect_keyword("end")
         if self.peek() is not None:
             self._warn(f"content after 'end' ignored: {self.peek().text!r}", self.peek())
-        return Rule(
-            self.rule_id, name, tuple(triggers), tuple(guarded), tuple(conditions), _span_between(first, end_tok)
-        )
+        span = (first.offset, end_tok.offset + len(end_tok.text))
+        return Rule(self.rule_id, name, tuple(triggers), tuple(guarded), tuple(conditions), span)
 
     # -- when clause -------------------------------------------------------
 
@@ -181,16 +170,11 @@ class _BlockParser:
             self.take()
             self.take()
             expr = self.expect_kind(TokenKind.STRING, "cron string")
-            return Trigger(
-                self.next_trigger_id(),
-                TriggerKind.CRON,
-                cron=CronSpec.parse(expr.text[1:-1]),
-                loc=_span_between(tok, expr),
-            )
+            return Trigger(self.next_trigger_id(), TriggerKind.CRON, cron=CronSpec.parse(expr.text[1:-1]))
         if is_keyword(tok, "system") and self.at_keyword("started", 1):
             self.take()
-            last = self.take()
-            return Trigger(self.next_trigger_id(), TriggerKind.SYSTEM_STARTED, loc=_span_between(tok, last))
+            self.take()
+            return Trigger(self.next_trigger_id(), TriggerKind.SYSTEM_STARTED)
 
         if is_keyword(tok, "item") and self.peek(1) is not None and self.peek(1).kind is TokenKind.IDENT:
             self.take()
@@ -201,42 +185,29 @@ class _BlockParser:
         item = item_tok.text
 
         if self.at_keyword("changed") or self.at_keyword("changes"):
-            last = self.take()
+            self.take()
             from_value = to_value = None
             if self.at_keyword("from"):
                 self.take()
-                from_value, last = self._take_value("changed-from value")
+                from_value = self._take_value("changed-from value")
             if self.at_keyword("to"):
                 self.take()
-                to_value, last = self._take_value("changed-to value")
+                to_value = self._take_value("changed-to value")
             return Trigger(
-                self.next_trigger_id(),
-                TriggerKind.ITEM_CHANGED,
-                item=item,
-                from_value=from_value,
-                to_value=to_value,
-                loc=_span_between(item_tok, last),
+                self.next_trigger_id(), TriggerKind.ITEM_CHANGED, item=item, from_value=from_value, to_value=to_value
             )
         if self.at_keyword("received") and self.at_keyword("command", 1):
             self.take()
-            last = self.take()
+            self.take()
             command_value = None
             nxt = self.peek()
             if nxt is not None and nxt.kind in (TokenKind.IDENT, TokenKind.NUMBER, TokenKind.STRING) and not _is_clause_keyword(nxt):
-                command_value, last = self._take_value("command value")
-            return Trigger(
-                self.next_trigger_id(),
-                TriggerKind.ITEM_COMMAND,
-                item=item,
-                command_value=command_value,
-                loc=_span_between(item_tok, last),
-            )
+                command_value = self._take_value("command value")
+            return Trigger(self.next_trigger_id(), TriggerKind.ITEM_COMMAND, item=item, command_value=command_value)
         if self.at_keyword("received") and self.at_keyword("update", 1):
             self.take()
-            last = self.take()
-            return Trigger(
-                self.next_trigger_id(), TriggerKind.ITEM_UPDATE, item=item, loc=_span_between(item_tok, last)
-            )
+            self.take()
+            return Trigger(self.next_trigger_id(), TriggerKind.ITEM_UPDATE, item=item)
 
         # State-comparison trigger: X[.state] <op> value
         if self.peek() is not None and self.peek().kind is TokenKind.DOT and self.at_keyword("state", 1):
@@ -245,22 +216,15 @@ class _BlockParser:
         op_tok = self.peek()
         if op_tok is not None and op_tok.kind is TokenKind.OP:
             self.take()
-            value, last = self._take_value("comparison value")
-            return Trigger(
-                self.next_trigger_id(),
-                TriggerKind.STATE_COMPARISON,
-                item=item,
-                op=op_tok.text,
-                value=value,
-                loc=_span_between(item_tok, last),
-            )
+            value = self._take_value("comparison value")
+            return Trigger(self.next_trigger_id(), TriggerKind.STATE_COMPARISON, item=item, op=op_tok.text, value=value)
         raise _BlockError(f"unrecognized trigger form near {item!r}", item_tok)
 
-    def _take_value(self, what: str) -> tuple[Value, Token]:
+    def _take_value(self, what: str) -> Value:
         tok = self.take()
         if tok.kind not in (TokenKind.IDENT, TokenKind.NUMBER, TokenKind.STRING):
             raise _BlockError(f"expected {what}, found {tok.text!r}", tok)
-        return make_value(tok.text), tok
+        return make_value(tok.text)
 
     # -- conditions ----------------------------------------------------------
 
@@ -289,7 +253,6 @@ class _BlockParser:
 
         conds: list[Condition] = []
         window: tuple[int, int] | None = None
-        window_loc: Span | None = None
         for group in groups:
             group = _strip_outer_parens(group)
             if not group:
@@ -301,13 +264,10 @@ class _BlockParser:
                 lo, hi = parsed
                 base = window or (DAY_START, DAY_END)
                 window = (max(base[0], lo), min(base[1], hi))
-                window_loc = _span_between(group[0], group[-1])
         if window is not None:
             if window[0] > window[1]:
                 raise _BlockError("empty time window", toks[0])
-            conds.append(
-                Condition(self.next_condition_id(), ConditionKind.TIME_WINDOW, window=window, loc=window_loc)
-            )
+            conds.append(Condition(self.next_condition_id(), ConditionKind.TIME_WINDOW, window=window))
         return conds
 
     def _parse_comparison(self, group: list[Token]) -> Condition | tuple[int, int]:
@@ -350,7 +310,6 @@ class _BlockParser:
             item=item_tok.text,
             op=op,
             value=make_value(val_tok.text),
-            loc=_span_between(item_tok, val_tok),
         )
 
     # -- script block --------------------------------------------------------
@@ -443,9 +402,9 @@ class _BlockParser:
             self.take()
             item = self.expect_kind(TokenKind.IDENT, "item name")
             self.expect_kind(TokenKind.COMMA, "','")
-            value, _ = self._take_value("action value")
-            last = self.expect_kind(TokenKind.RPAREN, "')'")
-            return Action(self.next_action_id(), kind, item.text, value, loc=_span_between(tok, last))
+            value = self._take_value("action value")
+            self.expect_kind(TokenKind.RPAREN, "')'")
+            return Action(self.next_action_id(), kind, item.text, value)
         # Item.sendCommand(Value)
         if (
             self.peek(1) is not None
@@ -460,9 +419,9 @@ class _BlockParser:
             self.take()
             kind = _ACTION_CALLS[self.take().text.lower()]
             self.take()
-            value, _ = self._take_value("action value")
-            last = self.expect_kind(TokenKind.RPAREN, "')'")
-            return Action(self.next_action_id(), kind, item.text, value, loc=_span_between(item, last))
+            value = self._take_value("action value")
+            self.expect_kind(TokenKind.RPAREN, "')'")
+            return Action(self.next_action_id(), kind, item.text, value)
         return None
 
     def _skip_statement(self, reason: str) -> None:
@@ -504,8 +463,8 @@ class _BlockParser:
             self.take()
 
     def _warn(self, message: str, token: Token | None) -> None:
-        loc = _span(token) if token is not None else Span(1, 1, 1, 1)
-        self.warnings.append(Diagnostic("warning", "unsupported-construct", message, loc))
+        line, col = (token.line, token.col) if token is not None else (1, 1)
+        self.warnings.append(Diagnostic("warning", "unsupported-construct", message, line, col))
 
 
 def _is_clause_keyword(tok: Token) -> bool:
@@ -546,16 +505,14 @@ def parse_ruleset(source: SourceFile) -> RuleSet:
 
     if not starts:
         if tokens:
-            diagnostics.append(Diagnostic("error", "no-rules", "no rule blocks found in file", _span(tokens[0])))
+            first = tokens[0]
+            diagnostics.append(Diagnostic("error", "no-rules", "no rule blocks found in file", first.line, first.col))
         return RuleSet(file_id=source.path, diagnostics=tuple(diagnostics))
 
     if tokens and starts[0] > 0:
         stray = tokens[0]
-        diagnostics.append(
-            Diagnostic(
-                "warning", "stray-content", f"content before first rule ignored: {stray.text!r}", _span(stray)
-            )
-        )
+        message = f"content before first rule ignored: {stray.text!r}"
+        diagnostics.append(Diagnostic("warning", "stray-content", message, stray.line, stray.col))
 
     rules: list[Rule] = []
     for k, start in enumerate(starts):
@@ -567,9 +524,8 @@ def parse_ruleset(source: SourceFile) -> RuleSet:
             rule = parser.parse_rule()
         except _BlockError as exc:
             tok = exc.token or block[0]
-            diagnostics.append(
-                Diagnostic("error", "rule-block", f"rule block skipped: {exc.message}", _span(tok))
-            )
+            message = f"rule block skipped: {exc.message}"
+            diagnostics.append(Diagnostic("error", "rule-block", message, tok.line, tok.col))
             diagnostics.extend(warnings)
             continue
         diagnostics.extend(warnings)

@@ -1,9 +1,8 @@
-"""Source file handling: content and line index."""
+"""Source file handling: a file's path and content."""
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 
@@ -11,12 +10,10 @@ from pathlib import Path
 class SourceFile:
     path: str
     content: str
-    line_offsets: tuple[int, ...] = field(default=())
 
     @staticmethod
     def from_text(content: str, path: str = "<memory>") -> "SourceFile":
-        offsets = (0, *(m.end() for m in re.finditer("\n", content)))
-        return SourceFile(path=path, content=content, line_offsets=offsets)
+        return SourceFile(path=path, content=content)
 
     @staticmethod
     def from_path(path: str | Path) -> "SourceFile":

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import load_bench_generator
 from mock_backend import MockBackendServer
 
 from ritkit.cli import build_arg_parser, main
@@ -126,6 +127,29 @@ class TestMutateAndEvalCommands:
             fh.write(json.dumps({"instance_id": "m9999__ghost", "labels": ["WAC"]}) + "\n")
         code, _, err = run_cli(capsys, "eval", "--manifest", str(manifest), "--predictions", str(predictions))
         assert code == 2 and "m9999__ghost" in err
+
+    @pytest.mark.parametrize("labels", ["SAC", None], ids=["string", "null"])
+    def test_eval_prediction_labels_must_be_a_list_of_strings(self, capsys, corpus, tmp_path, labels):
+        manifest = corpus / "manifest.jsonl"
+        records = [json.loads(line) for line in manifest.read_text().splitlines()]
+        predictions = tmp_path / "preds.jsonl"
+        with predictions.open("w") as fh:
+            for k, record in enumerate(records):
+                fh.write(json.dumps({"instance_id": record["mutant_id"], "labels": labels if k == 2 else ["SAC"]}) + "\n")
+        code, out, err = run_cli(capsys, "eval", "--manifest", str(manifest), "--predictions", str(predictions))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot load predictions {predictions}: ") and err.count("\n") == 1
+        assert records[2]["mutant_id"] in err
+
+    def test_failed_mutate_run_leaves_no_mutants(self, capsys, tmp_path):
+        seed = tmp_path / "gen67.rules"
+        seed.write_text(load_bench_generator().generate_rules(67, 3, 4), encoding="utf-8")
+        out_dir = tmp_path / "corpus"
+        code, out, err = run_cli(capsys, "mutate", str(seed), "--out-dir", str(out_dir))
+        # SAC mutants come first; WAC on (r1, r2) cannot be injected.
+        assert code == 2 and out == ""
+        assert err.startswith("error: transform inapplicable for WAC")
+        assert list(out_dir.iterdir()) == []
 
     def test_eval_replay(self, capsys, corpus, tmp_path):
         log_path = tmp_path / "log.jsonl"
@@ -378,10 +402,12 @@ class TestBackendPredictorCli:
         from ritkit.mutate import Sample, Seed, bundled_seed_paths, generate_corpus
 
         seeds = [Seed.load(p) for p in bundled_seed_paths()[:1]]
-        manifest = generate_corpus(seeds, Sample(2, rng_seed=1), tmp_path / "corpus")
-        first, second = manifest.records
-        # max_retries 4: the five 429s exhaust the first instance's call.
-        with MockBackendServer(failing + [(200, second.operator)]) as server:
+        manifest = generate_corpus(seeds, Sample(3, rng_seed=1), tmp_path / "corpus")
+        first, second, third = manifest.records
+        # max_retries 4: the five 429s exhaust the second instance's call, and
+        # the third instance is not asked.
+        script = [(200, first.operator)] + failing + [(200, third.operator)]
+        with MockBackendServer(script) as server:
             config_path = tmp_path / "config.json"
             backend = {"endpoint": server.endpoint, "model": "m", "timeout": 5.0, "max_retries": 4, "backoff_base": 0}
             config_path.write_text(json.dumps({"backend": backend}), encoding="utf-8")
@@ -399,12 +425,15 @@ class TestBackendPredictorCli:
                 str(log_path),
             )
         assert code == 0
-        assert "samples: 2, parse failures: 1" in out
+        assert "samples: 3, parse failures: 2" in out
+        assert len(server.requests) == 1 + len(failing)
         warnings = [line for line in err.splitlines() if line.startswith("warning:")]
-        assert len(warnings) == 1
-        assert f"backend:{error_class}" in warnings[0] and first.mutant_id in warnings[0]
+        assert len(warnings) == 2
+        for warning, record in zip(warnings, (second, third)):
+            assert f"backend:{error_class}" in warning and record.mutant_id in warning
         logs = [json.loads(line) for line in log_path.read_text(encoding="utf-8").splitlines()]
-        assert [log["failure"] for log in logs] == [f"backend:{error_class}", None]
+        assert [log["failure"] for log in logs] == [None, f"backend:{error_class}", f"backend:{error_class}"]
+        assert logs[0]["labels"] == [first.operator]
 
     def test_backend_predictor_without_config_is_fatal(self, capsys, tmp_path):
         from ritkit.mutate import Exhaustive, Seed, bundled_seed_paths, generate_corpus

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mock_backend import StubBackend
@@ -201,6 +202,38 @@ class TestRunExperiment:
 
         blind = backend_predictor(PromptTemplate(0, "six", True), StubBackend(constant="SAC"))
         assert blind(instance) == ("SAC",)
+
+
+class TestBackendPredictorGivesUp:
+    @pytest.fixture()
+    def dataset(self, tmp_path):
+        entries = []
+        for i, fine in enumerate(["SAC", "WAC", "STC", "SCC"]):
+            path = tmp_path / f"i{i}.rules"
+            path.write_text(f'rule "r{i}"\nwhen\n    System started\nthen\n    sendCommand(X, ON)\nend\n', encoding="utf-8")
+            entries.append(GroundTruthEntry(f"i{i}", str(path), "r1", "r2", fine))
+        return entries
+
+    def test_backend_down_throughout_is_called_once(self, dataset):
+        backend = StubBackend()  # every call fails as unavailable
+        row, logs = run_experiment(MULTI, dataset, backend_predictor(PromptTemplate(), backend))
+        assert len(backend.calls) == 1
+        assert [log.failure for log in logs] == ["backend:unavailable"] * len(dataset)
+        assert row.parse_failures == len(dataset)
+
+    def test_outage_after_the_first_instance_keeps_its_label(self, dataset):
+        backend = StubBackend(responses=["SAC"])  # one answer, then unavailable
+        row, logs = run_experiment(MULTI, dataset, backend_predictor(PromptTemplate(), backend))
+        assert len(backend.calls) == 2
+        assert logs[0].labels == ("SAC",) and logs[0].correct and logs[0].failure is None
+        assert [log.failure for log in logs[1:]] == ["backend:unavailable"] * (len(dataset) - 1)
+
+    def test_missing_instance_file_still_raises_after_an_outage(self, dataset):
+        predict = backend_predictor(PromptTemplate(), StubBackend())
+        assert isinstance(predict(dataset[0]), ParseFailure)
+        Path(dataset[1].source).unlink()
+        with pytest.raises(FileNotFoundError):
+            predict(dataset[1])
 
 
 class TestScoringProperties:

@@ -3,12 +3,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from collections import Counter
 from pathlib import Path
 
 import oracle
 import pytest
 from conftest import load_bench_generator
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ritkit.detector import CATEGORY_ORDER, DetectorConfig, FineCategory, detect_file
 from ritkit.mutate import (
@@ -125,15 +128,7 @@ class TestApplyOperator:
         op = OPERATORS[FineCategory.SAC]
         pair = enumerate_eligible_pairs(seed.ruleset, op)[0]
         text, _ = apply_operator(seed, pair, op)
-        source = SourceFile.from_text(seed.text, seed.path)
-        spans = sorted(
-            (
-                source.line_offsets[r.loc.start_line - 1] + r.loc.start_col - 1,
-                source.line_offsets[r.loc.end_line - 1] + r.loc.end_col - 1,
-            )
-            for r in seed.ruleset.rules
-            if r.id in pair
-        )
+        spans = sorted(r.span for r in seed.ruleset.rules if r.id in pair)
         # Text before, between and after the two replaced rule blocks is kept.
         (s1, e1), (s2, e2) = spans
         assert text.startswith(seed.text[:s1])
@@ -162,6 +157,55 @@ class TestApplyOperator:
             assert record.miss_cause == MISS_STRICT_MATCHING
             assert category not in pair_categories(text, pair, strict=True)
             assert category in pair_categories(text, pair, strict=False)
+
+
+# Where a rule block starts in a bundled seed or its mutant: `rule "` at a line start.
+_BLOCK_START = re.compile(r'(?m)^(?=rule ")')
+_PADDING = ("\n", "\n\n", " \t", "// note\n", '// rule "ghost" when then end\n', "/* block */", '/* rule "hidden"\nwhen */\n')
+
+
+def finding_identities(ruleset, strict: bool) -> set[tuple]:
+    report = detect_file(ruleset, DetectorConfig(strict_event_matching=strict))
+    return {(f.category, f.rule_a.id, f.rule_b.id, f.threat_pair) for f in report.findings}
+
+
+class TestCommentAndWhitespaceInvariance:
+    """Comments and blank lines between rule blocks move every position and change nothing else."""
+
+    @pytest.fixture(scope="class")
+    def jobs(self, seeds):
+        return [
+            (seed, op, pair)
+            for seed in seeds
+            for op in OPERATORS.values()
+            for pair in enumerate_eligible_pairs(seed.ruleset, op)
+        ]
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_padding_between_rule_blocks(self, jobs, data):
+        seed, op, pair = data.draw(st.sampled_from(jobs))
+        post_update = data.draw(st.booleans())
+        n_chunks = len(_BLOCK_START.split(seed.text))  # the text before the first block, then one per block
+        gap = st.lists(st.sampled_from(_PADDING), max_size=3).map("".join)
+        pads = data.draw(st.lists(gap, min_size=n_chunks, max_size=n_chunks))
+
+        def pad(text: str) -> str:
+            chunks = _BLOCK_START.split(text)
+            assert len(chunks) == n_chunks
+            return "".join(chunk + padding for chunk, padding in zip(chunks, pads))
+
+        padded = Seed.from_text(pad(seed.text), seed.path)
+        plain_text, plain_record = apply_operator(seed, pair, op, post_update)
+        padded_text, padded_record = apply_operator(padded, pair, op, post_update)
+        # The padding survives byte for byte, and the rewrite is the same.
+        assert padded_text == pad(plain_text)
+        assert padded_record == plain_record
+        mutant = parse_ruleset(SourceFile.from_text(plain_text))
+        padded_mutant = parse_ruleset(SourceFile.from_text(padded_text))
+        for strict in (True, False):
+            assert finding_identities(padded.ruleset, strict) == finding_identities(seed.ruleset, strict)
+            assert finding_identities(padded_mutant, strict) == finding_identities(mutant, strict)
 
 
 class TestFreshItemFallback:

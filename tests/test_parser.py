@@ -1,13 +1,21 @@
 from __future__ import annotations
 
-import random
-
-from conftest import parse_fixture, parse_text
+from conftest import DATA_DIR, parse_fixture, parse_text
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ritkit.ir import ActionKind, ConditionKind, TriggerKind, ValueKind
 from ritkit.lexer import TokenKind, tokenize
-from ritkit.parser import MAX_IF_DEPTH, parse_ruleset
+from ritkit.parser import MAX_IF_DEPTH
 from ritkit.source import SourceFile
+
+
+# Lexemes of the rule grammar and its comments, for random near-rules text.
+_FRAGMENTS = (
+    'rule "', 'RULE "x"', '"', "when", "then", "end", "End", "if", "or", "(", ")", "{", "}", "&&", "==", "<", ">=",
+    "\n", "\t", " ", "ON", "off", "1", "2.5", "08:30", ":", ".", ",", "//", "/*", "*/", "Item", "X", "changed",
+    "received command", "sendCommand", "postUpdate", "System started", "Time cron", ".state",
+)
 
 
 def kinds(text: str) -> list[TokenKind]:
@@ -240,7 +248,7 @@ class TestScriptBlock:
         assert [(d.code, d.message) for d in rs.diagnostics] == [
             ("rule-block", f"rule block skipped: if blocks nested deeper than {MAX_IF_DEPTH} levels")
         ]
-        assert rs.diagnostics[0].loc.start_line == 5 + MAX_IF_DEPTH
+        assert rs.diagnostics[0].line == 5 + MAX_IF_DEPTH
 
 
 class TestInvariants:
@@ -289,24 +297,23 @@ class TestInvariants:
             assert self._count_rule_starts(text) == len(rs.rules) + len(block_errors), text
 
     def test_location_soundness(self):
-        for name in (
-            "ac_sprinkler_vs_windows.rules",
-            "tc_morning_cascade.rules",
-            "cc_fire_alarm_vs_bedtime.rules",
-        ):
-            source = SourceFile.from_path(f"tests/data/{name}")
-            rs = parse_ruleset(source)
-            last_line = len(source.line_offsets)
+        texts = [
+            (DATA_DIR / name).read_text(encoding="utf-8")
+            for name in ("ac_sprinkler_vs_windows.rules", "tc_morning_cascade.rules", "cc_fire_alarm_vs_bedtime.rules")
+        ]
+        texts.append('// lead\nrule "a"\nwhen\n    X changed\nthen\n    ???\nend\nrule "b"\nwhen\nthen\nEND\n')
+        for text in texts:
+            rs = parse_text(text)
+            assert rs.rules
+            previous_end = 0
             for rule in rs.rules:
-                locs = [rule.loc] + [t.loc for t in rule.triggers]
-                locs += [c.loc for c in rule.conditions]
-                for ga in rule.guarded_actions:
-                    locs.append(ga.action.loc)
-                    locs.extend(c.loc for c in ga.guards)
-                for loc in locs:
-                    assert 1 <= loc.start_line <= loc.end_line <= last_line
+                start, end = rule.span
+                assert previous_end <= start < end <= len(text)  # in file order, never overlapping
+                block = text[start:end].lower()
+                assert block.startswith("rule") and block.endswith("end")
+                previous_end = end
             for diag in rs.diagnostics:
-                assert 1 <= diag.loc.start_line <= last_line
+                assert 1 <= diag.line <= text.count("\n") + 1 and diag.col >= 1
 
     def test_id_stability_under_content_change(self):
         base = 'rule "n{}"\nwhen\n    System started\nthen\n    sendCommand(X{}, ON)\nend\n'
@@ -314,14 +321,12 @@ class TestInvariants:
         two = parse_text(base.format("renamed", 9) + base.format(2, 2))
         assert [r.id for r in one.rules] == [r.id for r in two.rules] == ["r1", "r2"]
 
-    def test_line_index_covers_every_line(self):
-        text = "a\nbb\n\nccc"
-        source = SourceFile.from_text(text)
-        assert source.line_offsets == (0, 2, 5, 6)
-
-    def test_random_garbage_never_crashes(self):
-        rng = random.Random(7)
-        alphabet = 'rule "when then end if (){}&&==<>\n\t on off 1 2 : . , // /*'
-        for _ in range(200):
-            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 120)))
-            parse_text(text)
+    @given(st.one_of(st.text(max_size=200), st.lists(st.sampled_from(_FRAGMENTS), max_size=80).map("".join)))
+    @settings(max_examples=300)
+    def test_random_garbage_never_crashes(self, text):
+        rs = parse_text(text)  # never raises
+        for diag in rs.diagnostics:
+            assert 1 <= diag.line <= text.count("\n") + 1
+        for rule in rs.rules:
+            block = text[slice(*rule.span)].lower()
+            assert block.startswith("rule") and block.endswith("end")
