@@ -255,17 +255,30 @@ def _predictor_from_spec(
     raise ConfigError(f"unknown predictor: {spec}")
 
 
+def _prediction(obj: object) -> tuple[str, tuple[str, ...]]:
+    """The instance id and labels of one prediction line's JSON value."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("instance_id"), str):
+        raise ValueError("a prediction must be a JSON object with a string instance_id")
+    instance_id = obj["instance_id"]
+    if "labels" not in obj:
+        raise ValueError(f"instance {instance_id}: no labels")
+    labels = obj["labels"]
+    if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+        raise ValueError(f"instance {instance_id}: labels must be a JSON list of strings")
+    return instance_id, tuple(labels)
+
+
 def _predictions_from_file(path: str) -> dict[str, tuple[str, ...]]:
     out: dict[str, tuple[str, ...]] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for n, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            labels = obj["labels"]
-            if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
-                raise ValueError(f"instance {obj['instance_id']}: labels must be a JSON list of strings")
-            out[obj["instance_id"]] = tuple(labels)
+            try:
+                instance_id, labels = _prediction(json.loads(line))  # json.JSONDecodeError is a ValueError
+            except ValueError as exc:
+                raise ValueError(f"line {n}: {exc}") from exc
+            out[instance_id] = labels
     return out
 
 
@@ -299,7 +312,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.predictions:
         try:
             predictions = _predictions_from_file(args.predictions)
-        except (OSError, KeyError, ValueError) as exc:  # ValueError covers json.JSONDecodeError
+        except (OSError, ValueError) as exc:
             return _fail(f"cannot load predictions {args.predictions}: {exc}")
         dataset_ids = {e.instance_id for e in dataset}
         orphans = sorted(set(predictions) ^ dataset_ids)

@@ -5,7 +5,9 @@ action items and reads its trigger items and the items its item-comparison
 conditions test. It visits a rule pair only when one rule writes an item
 that the other writes or reads, in file order; every relation below needs
 an action of one rule on an item of the other, so no other pair can yield a
-finding. For each visited pair the detector checks three families:
+finding. `detect_pairs_touching` visits only those of these pairs that
+include given rules, for re-checking a ruleset in which only those rules
+changed. For each visited pair the detector checks three families:
 
 * action contradiction (WAC/SAC): contradictory actions, overlapping
   triggers, co-satisfiable guards; strong when both guard sets are empty;
@@ -320,11 +322,17 @@ def _item_neighbours(rules: tuple[Rule, ...]) -> list[set[int]]:
     return neighbours
 
 
+def detect_pairs_touching(
+    rules: tuple[Rule, ...], positions: Iterable[int], config: DetectorConfig = DetectorConfig()
+) -> list[Finding]:
+    """Classify every unordered pair of rules sharing an item that includes
+    a rule at one of `positions`, in file order; other pairs are not visited."""
+    neighbours = _item_neighbours(rules)
+    pairs = sorted({(min(p, k), max(p, k)) for p in positions for k in neighbours[p] if k != p})
+    return [f for i, j in pairs for f in detect_pair(rules[i], rules[j], config)]
+
+
 def detect_file(ruleset: RuleSet, config: DetectorConfig = DetectorConfig()) -> FindingReport:
     """Classify every unordered pair of rules sharing an item, in file order."""
-    findings: list[Finding] = []
-    rules = ruleset.rules
-    for i, neighbours in enumerate(_item_neighbours(rules)):
-        for j in sorted(k for k in neighbours if k > i):
-            findings.extend(detect_pair(rules[i], rules[j], config))
+    findings = detect_pairs_touching(ruleset.rules, range(len(ruleset.rules)), config)
     return FindingReport(file=ruleset.file_id, findings=tuple(findings))

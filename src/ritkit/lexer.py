@@ -9,8 +9,8 @@ skipped span.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .source import SourceFile
 
@@ -31,8 +31,9 @@ class TokenKind(Enum):
     ERROR = "error"  # unterminated string or stray character
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One lexeme; a tuple, which is cheaper to build than a frozen dataclass."""
+
     kind: TokenKind
     text: str
     line: int  # 1-based

@@ -5,9 +5,14 @@ detector finds exactly the targeted category on that pair. Rewrites happen on
 the IR, are rendered back to source, and spliced into the seed text so the
 mutant differs from the seed only within the selected pair.
 
-Every emitted mutant is validated: it must re-parse cleanly, all new findings
-must sit on the mutated pair, and the detector must recover the target
-category. postUpdate cascade variants are expected to be missed under strict
+Every emitted mutant is validated without parsing or detecting the whole
+file again. Its two rewritten rule blocks must each re-parse cleanly on their
+own, as the rules of their positions. Every other rule of the seed is reused,
+moved by the change in length when it comes after a rewritten block. Only
+the pairs that include a rewritten rule and share an item with it are
+detected again: every other pair is a pair of the seed's and keeps the
+seed's findings. All new findings must sit on the mutated pair, and the
+detector must recover the target category. postUpdate cascade variants are expected to be missed under strict
 event matching; such misses carry the `strict-event-matching` cause tag.
 """
 
@@ -17,11 +22,20 @@ import json
 import os
 import random
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .detector import CATEGORY_ORDER, CoarseCategory, DetectorConfig, FineCategory, aggregate, detect_file
+from .detector import (
+    CATEGORY_ORDER,
+    CoarseCategory,
+    DetectorConfig,
+    FineCategory,
+    aggregate,
+    detect_file,
+    detect_pair,
+    detect_pairs_touching,
+)
 from .ir import (
     Action,
     ActionKind,
@@ -39,7 +53,7 @@ from .ir import (
     number_value,
     rule_source,
 )
-from .parser import parse_ruleset
+from .parser import parse_rule_block, parse_ruleset
 from .semantics import triggers_overlap, value_conflicts
 from .source import SourceFile
 
@@ -72,7 +86,9 @@ class Seed:
     @cached_property
     def finding_keys(self) -> frozenset[tuple]:
         """Identities of the seed's own findings, detected once per seed."""
-        return frozenset(_finding_identity(f) for f in detect_file(self.ruleset).findings)
+        # Strict whatever the default: validation takes these as the strict findings of the pairs it skips.
+        strict = DetectorConfig(strict_event_matching=True)
+        return frozenset(_finding_identity(f) for f in detect_file(self.ruleset, strict).findings)
 
 
 @dataclass(frozen=True)
@@ -434,50 +450,74 @@ def enumerate_eligible_pairs(ruleset: RuleSet, operator: MutationOperator) -> li
 # Application and validation
 
 
-def _splice(seed: Seed, replacements: dict[str, Rule]) -> str:
-    """The seed text with each replaced rule block rewritten in place."""
+def _splice(seed: Seed, blocks: dict[str, str]) -> str:
+    """The seed text with the block of each rule id in `blocks` replaced in place."""
     text = seed.text
     for rule in reversed(seed.ruleset.rules):  # later blocks first, so earlier spans stay valid
-        if rule.id in replacements:
+        if rule.id in blocks:
             start, end = rule.span
-            text = text[:start] + rule_source(replacements[rule.id]) + text[end:]
+            text = text[:start] + blocks[rule.id] + text[end:]
     return text
 
 
-def _pair_findings(report, rule_a: str, rule_b: str):
-    wanted = {rule_a, rule_b}
-    return [f for f in report.findings if {f.rule_a.id, f.rule_b.id} == wanted]
+# An operator rewrites a rule the same way for each partner it pairs it with,
+# so about half the blocks that validation parses repeat one parsed before.
+@lru_cache(maxsize=256)
+def _parse_block(block: str, rule_id: str) -> Rule:
+    """A rewritten rule block parsed alone, with its span relative to `block`."""
+    parsed, diagnostics = parse_rule_block(block, rule_id)
+    errors = [d for d in diagnostics if d.severity == "error"]
+    if errors:
+        raise MutationError(f"mutant does not parse: {errors[0].message}")
+    return parsed
 
 
-def _validate(
-    seed: Seed,
-    mutant_text: str,
-    pair: tuple[str, str],
-    target: FineCategory,
-    expect_strict_miss: bool,
-) -> str | None:
-    """Returns the miss cause tag (or None); raises MutationError when invalid."""
-    mutant_rs = parse_ruleset(SourceFile.from_text(mutant_text, seed.path))
-    if mutant_rs.errors():
-        raise MutationError(f"mutant does not parse: {mutant_rs.errors()[0].message}")
-    if len(mutant_rs.rules) != len(seed.ruleset.rules):
-        raise MutationError("mutant changed the number of rules")
+def _mutant_rules(seed: Seed, blocks: dict[str, str]) -> tuple[Rule, ...]:
+    """The rules that `parse_ruleset` gives for `_splice(seed, blocks)`.
 
-    strict_report = detect_file(mutant_rs, DetectorConfig(strict_event_matching=True))
-    for f in strict_report.findings:
-        if _finding_identity(f) not in seed.finding_keys and {f.rule_a.id, f.rule_b.id} != set(pair):
+    Each new block is parsed alone as the rule of its position. The rules
+    after it move by the change in length; every other rule is reused.
+    """
+    rules: list[Rule] = []
+    shift = 0
+    for rule in seed.ruleset.rules:
+        start, end = rule.span
+        block = blocks.get(rule.id)
+        if block is None:
+            rules.append(replace(rule, span=(start + shift, end + shift)) if shift else rule)
+            continue
+        parsed = _parse_block(block, rule.id)
+        offset = start + shift
+        rules.append(replace(parsed, span=(parsed.span[0] + offset, parsed.span[1] + offset)))
+        shift += len(block) - (end - start)
+    return tuple(rules)
+
+
+def _validate(seed: Seed, blocks: dict[str, str], target: FineCategory, expect_strict_miss: bool) -> str | None:
+    """Validate the mutant that rewrites the pair of rule ids in `blocks`.
+
+    Returns the miss cause tag (or None); raises MutationError when invalid.
+    Only pairs that include a rewritten rule are detected: the others are
+    pairs of the seed's, whose findings are in `seed.finding_keys`.
+    """
+    rules = _mutant_rules(seed, blocks)
+    pair = set(blocks)
+    rewritten = [k for k, rule in enumerate(rules) if rule.id in pair]
+    strict_cats = set()
+    for f in detect_pairs_touching(rules, rewritten, DetectorConfig(strict_event_matching=True)):
+        if {f.rule_a.id, f.rule_b.id} == pair:
+            strict_cats.add(f.category)
+        elif _finding_identity(f) not in seed.finding_keys:
             raise MutationError(
                 f"injection leaked outside the pair: {f.category.value} on ({f.rule_a.id}, {f.rule_b.id})"
             )
 
-    strict_cats = {f.category for f in _pair_findings(strict_report, *pair)}
     if target in strict_cats:
         if expect_strict_miss:
             raise MutationError("postUpdate variant was unexpectedly recovered under strict matching")
         return None
-    lenient_report = detect_file(mutant_rs, DetectorConfig(strict_event_matching=False))
-    lenient_cats = {f.category for f in _pair_findings(lenient_report, *pair)}
-    if target in lenient_cats:
+    a, b = (rules[k] for k in rewritten)  # in file order, as detect_file passes them
+    if target in {f.category for f in detect_pair(a, b, DetectorConfig(strict_event_matching=False))}:
         return MISS_STRICT_MATCHING
     raise MutationError(f"detector does not recover {target.value} on the mutated pair")
 
@@ -506,8 +546,8 @@ def apply_operator(
         ctx = TransformContext(seed.ruleset, fresh, post_update)
         try:
             new_a, new_b, injected = operator.transform(ctx, a, b)
-            mutant_text = _splice(seed, {a.id: new_a, b.id: new_b})
-            miss = _validate(seed, mutant_text, pair, operator.target, expect_strict_miss=post_update)
+            blocks = {a.id: rule_source(new_a), b.id: rule_source(new_b)}
+            miss = _validate(seed, blocks, operator.target, expect_strict_miss=post_update)
         except MutationError as exc:
             last_error = exc
             continue
@@ -521,7 +561,7 @@ def apply_operator(
             output_path=output_path,
             miss_cause=miss,
         )
-        return mutant_text, record
+        return _splice(seed, blocks), record
     raise MutationError(f"transform inapplicable for {operator.target.value} on {pair}: {last_error}")
 
 

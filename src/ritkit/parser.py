@@ -497,6 +497,21 @@ def _time_minutes(tok: Token) -> int:
     return h * 60 + m
 
 
+def _parse_block(block: list[Token], rule_id: str, diagnostics: list[Diagnostic]) -> Rule | None:
+    """One rule block's tokens as rule `rule_id`; a malformed block adds an
+    error diagnostic and gives None. Warnings are added either way."""
+    warnings: list[Diagnostic] = []
+    try:
+        rule = _BlockParser(block, warnings, rule_id).parse_rule()
+    except _BlockError as exc:
+        tok = exc.token or block[0]
+        message = f"rule block skipped: {exc.message}"
+        diagnostics.append(Diagnostic("error", "rule-block", message, tok.line, tok.col))
+        rule = None
+    diagnostics.extend(warnings)
+    return rule
+
+
 def parse_ruleset(source: SourceFile) -> RuleSet:
     """Parse a whole .rules file; per-block failures become diagnostics."""
     tokens = tokenize(source)
@@ -517,19 +532,22 @@ def parse_ruleset(source: SourceFile) -> RuleSet:
     rules: list[Rule] = []
     for k, start in enumerate(starts):
         end = starts[k + 1] if k + 1 < len(starts) else len(tokens)
-        block = tokens[start:end]
-        warnings: list[Diagnostic] = []
-        parser = _BlockParser(block, warnings, f"r{len(rules) + 1}")
-        try:
-            rule = parser.parse_rule()
-        except _BlockError as exc:
-            tok = exc.token or block[0]
-            message = f"rule block skipped: {exc.message}"
-            diagnostics.append(Diagnostic("error", "rule-block", message, tok.line, tok.col))
-            diagnostics.extend(warnings)
-            continue
-        diagnostics.extend(warnings)
-        rules.append(rule)
+        rule = _parse_block(tokens[start:end], f"r{len(rules) + 1}", diagnostics)
+        if rule is not None:
+            rules.append(rule)
 
     return RuleSet(file_id=source.path, rules=tuple(rules), diagnostics=tuple(diagnostics))
 
+
+def parse_rule_block(text: str, rule_id: str) -> tuple[Rule | None, list[Diagnostic]]:
+    """Parse `text` alone as the rule block of rule `rule_id`.
+
+    Its span and diagnostic positions are relative to `text`. The rule is
+    None, with an error diagnostic, when the block is malformed or when
+    `text` is not exactly one rule block starting at its first token.
+    """
+    tokens = tokenize(SourceFile.from_text(text))
+    if rule_block_starts(tokens) != [0]:
+        return None, [Diagnostic("error", "rule-block", "text is not exactly one rule block")]
+    diagnostics: list[Diagnostic] = []
+    return _parse_block(tokens, rule_id, diagnostics), diagnostics

@@ -12,7 +12,10 @@ from mock_backend import MockBackendServer
 
 from ritkit.cli import build_arg_parser, main
 from ritkit.config import ConfigError, ToolConfig, load_config
-from ritkit.report import parse_structured
+from ritkit.detector import detect_file
+from ritkit.parser import parse_ruleset
+from ritkit.report import parse_structured, render_structured, render_structured_lines, render_text
+from ritkit.source import SourceFile
 
 DATA = Path(__file__).parent / "data"
 BENIGN = Path(__file__).parent.parent / "src" / "ritkit" / "seeds" / "garden_watering.rules"
@@ -140,6 +143,26 @@ class TestMutateAndEvalCommands:
         assert code == 2 and out == ""
         assert err.startswith(f"error: cannot load predictions {predictions}: ") and err.count("\n") == 1
         assert records[2]["mutant_id"] in err
+
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            ("[1, 2]", "a prediction must be a JSON object with a string instance_id"),
+            ('{"instance_id": 5, "labels": ["SAC"]}', "a prediction must be a JSON object with a string instance_id"),
+            ('{"instance_id": "m0001"}', "instance m0001: no labels"),
+        ],
+        ids=["not-an-object", "non-string-id", "no-labels"],
+    )
+    def test_eval_malformed_prediction_line_is_named(self, capsys, corpus, tmp_path, line, problem):
+        manifest = corpus / "manifest.jsonl"
+        records = [json.loads(line) for line in manifest.read_text().splitlines()]
+        lines = [json.dumps({"instance_id": r["mutant_id"], "labels": [r["operator"]]}) for r in records]
+        lines[1:1] = ["", line]  # a blank line still counts: the bad one is line 3
+        predictions = tmp_path / "preds.jsonl"
+        predictions.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "eval", "--manifest", str(manifest), "--predictions", str(predictions))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot load predictions {predictions}: line 3: {problem}\n"
 
     def test_failed_mutate_run_leaves_no_mutants(self, capsys, tmp_path):
         seed = tmp_path / "gen67.rules"
@@ -452,6 +475,27 @@ class TestExitCodeContract:
         path = tmp_path / "report.json"
         run_cli(capsys, "detect", str(DATA / "hybrid_mixed.rules"), "--format", "structured", "--out", str(path))
         return path
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    @pytest.mark.parametrize("n_files", [1, 2])
+    def test_findings_exit_comes_with_the_complete_report(self, capsys, tmp_path, n_files, fmt, to_file):
+        # One file has findings and a skipped rule block; the second, if any, is benign.
+        mixed = tmp_path / "mixed.rules"
+        broken = 'rule "broken"\nwhen\n    whatever nonsense\nthen\nend\n'
+        mixed.write_text((DATA / "hybrid_mixed.rules").read_text(encoding="utf-8") + broken, encoding="utf-8")
+        paths = [mixed, BENIGN][:n_files]
+        reports = [detect_file(parse_ruleset(SourceFile.from_path(p))) for p in paths]
+        if fmt == "text":
+            want = "\n".join(render_text(r) for r in reports)
+        else:
+            want = render_structured(reports[0]) if n_files == 1 else render_structured_lines(reports)
+        report = tmp_path / "report.out"
+        argv = ["detect", *map(str, paths), "--format", fmt] + (["--out", str(report)] if to_file else [])
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and reports[0].total > 0
+        assert (report.read_text(encoding="utf-8"), out) == (want, "") if to_file else out == want
+        assert err.startswith(f"{mixed}:") and "error: rule block skipped" in err
 
     def test_deep_nesting_is_diagnosed_not_fatal(self, capsys, tmp_path):
         rules = tmp_path / "deep.rules"

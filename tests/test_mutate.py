@@ -13,7 +13,8 @@ from conftest import load_bench_generator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ritkit.detector import CATEGORY_ORDER, DetectorConfig, FineCategory, detect_file
+from ritkit.detector import CATEGORY_ORDER, DetectorConfig, FineCategory, detect_file, detect_pair, detect_pairs_touching
+from ritkit.ir import rule_source
 from ritkit.mutate import (
     Exhaustive,
     MISS_STRICT_MATCHING,
@@ -22,6 +23,9 @@ from ritkit.mutate import (
     OPERATORS,
     Sample,
     Seed,
+    TransformContext,
+    _mutant_rules,
+    _splice,
     apply_operator,
     bundled_seed_paths,
     enumerate_eligible_pairs,
@@ -206,6 +210,66 @@ class TestCommentAndWhitespaceInvariance:
         for strict in (True, False):
             assert finding_identities(padded.ruleset, strict) == finding_identities(seed.ruleset, strict)
             assert finding_identities(padded_mutant, strict) == finding_identities(mutant, strict)
+
+
+def check_incremental_validation(seed: Seed, op, pair: tuple[str, str], post_update: bool) -> int:
+    """Both rewrites of `pair` (plain and fresh items) give, without a whole-file
+    parse or detect, the rules and findings that one would. Returns how many
+    rewrites parsed."""
+    a, b = (next(r for r in seed.ruleset.rules if r.id == rule_id) for rule_id in pair)
+    checked = 0
+    for fresh in (False, True):
+        try:
+            new_a, new_b, _ = op.transform(TransformContext(seed.ruleset, fresh, post_update), a, b)
+        except MutationError:
+            continue
+        blocks = {a.id: rule_source(new_a), b.id: rule_source(new_b)}
+        whole = parse_ruleset(SourceFile.from_text(_splice(seed, blocks), seed.path))
+        try:
+            rules = _mutant_rules(seed, blocks)
+        except MutationError as exc:
+            assert whole.errors() and str(exc) == f"mutant does not parse: {whole.errors()[0].message}"
+            continue
+        assert not whole.errors()
+        assert rules == whole.rules  # spans included
+        rewritten = [k for k, rule in enumerate(rules) if rule.id in blocks]
+        for strict in (True, False):
+            config = DetectorConfig(strict_event_matching=strict)
+            findings = detect_file(whole, config).findings
+            touching = [f for f in findings if {f.rule_a.id, f.rule_b.id} & set(pair)]
+            assert detect_pairs_touching(rules, rewritten, config) == touching
+            on_pair = [f for f in findings if {f.rule_a.id, f.rule_b.id} == set(pair)]
+            assert detect_pair(*(rules[k] for k in rewritten), config) == on_pair
+            # Every other pair keeps the seed's findings.
+            untouched = [f for f in findings if not {f.rule_a.id, f.rule_b.id} & set(pair)]
+            seed_untouched = [f for f in detect_file(seed.ruleset, config).findings if not {f.rule_a.id, f.rule_b.id} & set(pair)]
+            assert untouched == seed_untouched
+        checked += 1
+    return checked
+
+
+class TestIncrementalValidation:
+    """Validation parses and detects only the rewritten pair, and sees what a whole-file pass would."""
+
+    def test_every_rewrite_of_the_bundled_corpora(self, seeds):
+        checked = 0
+        for seed in seeds:
+            for op in OPERATORS.values():
+                for pair in enumerate_eligible_pairs(seed.ruleset, op):
+                    # Only trigger cascades have a postUpdate variant.
+                    for post_update in (False, True) if op.trigger_cascade else (False,):
+                        checked += check_incremental_validation(seed, op, pair, post_update)
+        assert checked >= 544  # at least every mutant of the two corpora
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rewrites_of_generated_seeds(self, data):
+        n_rules = data.draw(st.integers(2, 8))
+        text = load_bench_generator().generate_rules(data.draw(st.integers(0, 10_000)), n_rules, data.draw(st.integers(2, 12)))
+        seed = Seed.from_text(text, "gen.rules")
+        jobs = [(op, pair) for op in OPERATORS.values() for pair in enumerate_eligible_pairs(seed.ruleset, op)]
+        op, pair = data.draw(st.sampled_from(jobs))
+        check_incremental_validation(seed, op, pair, data.draw(st.booleans()))
 
 
 class TestFreshItemFallback:

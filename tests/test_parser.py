@@ -1,12 +1,15 @@
 from __future__ import annotations
 
-from conftest import DATA_DIR, parse_fixture, parse_text
+import hashlib
+from pathlib import Path
+
+from conftest import DATA_DIR, GOLDEN_DIR, load_bench_generator, parse_fixture, parse_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ritkit.ir import ActionKind, ConditionKind, TriggerKind, ValueKind
 from ritkit.lexer import TokenKind, tokenize
-from ritkit.parser import MAX_IF_DEPTH
+from ritkit.parser import MAX_IF_DEPTH, parse_ruleset
 from ritkit.source import SourceFile
 
 
@@ -330,3 +333,35 @@ class TestInvariants:
         for rule in rs.rules:
             block = text[slice(*rule.span)].lower()
             assert block.startswith("rule") and block.endswith("end")
+
+
+SEED_DIR = Path(__file__).parent.parent / "src" / "ritkit" / "seeds"
+
+
+def front_end_inputs() -> dict[str, list[tuple[str, str]]]:
+    """Named groups of (name, text): the bundled seeds, the same seeds with every
+    fifth line cut (so that diagnostics appear), the test fixtures and `gen.py` files."""
+    seeds = [(p.name, p.read_text(encoding="utf-8")) for p in sorted(SEED_DIR.glob("*.rules"))]
+    generate = load_bench_generator().generate_rules
+    return {
+        "seeds": seeds,
+        "cut-seeds": [(name, "\n".join(line for k, line in enumerate(text.split("\n")) if k % 5 != 3)) for name, text in seeds],
+        "data": [(p.name, p.read_text(encoding="utf-8")) for p in sorted(DATA_DIR.glob("*.rules"))],
+        "gen": [(f"gen{seed}", generate(seed, n_rules, n_items)) for seed, n_rules, n_items in ((1, 40, 30), (2, 120, 60), (3, 200, 2000))],
+    }
+
+
+def front_end_digest(inputs: list[tuple[str, str]]) -> str:
+    """SHA-256 over the repr of each input's tokens and parsed ruleset, diagnostics included."""
+    digest = hashlib.sha256()
+    for name, text in inputs:
+        source = SourceFile.from_text(text, name)
+        digest.update(repr((name, tokenize(source), parse_ruleset(source))).encode())
+    return digest.hexdigest()
+
+
+def test_front_end_matches_the_golden_digest():
+    """Tokens, diagnostics and rulesets stay byte-identical under lexer and parser changes."""
+    lines = (GOLDEN_DIR / "front_end.sha256").read_text(encoding="utf-8").splitlines()
+    want = {group: digest for digest, group in (line.split() for line in lines)}
+    assert {group: front_end_digest(inputs) for group, inputs in front_end_inputs().items()} == want
