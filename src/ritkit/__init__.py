@@ -2,7 +2,14 @@
 
 A static analyzer, mutation-corpus generator, hybrid adjudication pipeline
 and evaluation harness for openHAB-style .rules automation files.
+
+Importing the package loads the analyzer pipeline (source, lexer, parser,
+detector, report). The other modules load on first use, as each CLI
+subcommand imports only what it runs; `ritkit.<module>` imports a module
+that is not loaded yet.
 """
+
+import importlib
 
 from .detector import (
     CoarseCategory,
@@ -39,3 +46,13 @@ __all__ = [
     "render_text",
     "__version__",
 ]
+
+# The modules that importing the package does not load: `ritkit.mutate`, say,
+# imports it on first access.
+_ON_FIRST_USE = frozenset({"cli", "client", "config", "evaluate", "hybrid", "mutate", "prompts"})
+
+
+def __getattr__(name: str):
+    if name in _ON_FIRST_USE:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,46 +11,13 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .client import StubAdjudicator
 from .config import ConfigError, ToolConfig, load_config
-from .detector import CATEGORY_ORDER, DetectorConfig, FineCategory, detect_file
-from .evaluate import (
-    EXPERIMENT_CELLS,
-    ExperimentConfig,
-    GroundTruthEntry,
-    constant_predictor,
-    detector_predictor,
-    echo_predictor,
-    ground_truth_from_manifest,
-    load_ground_truth,
-    load_logs,
-    metrics_from_logs,
-    render_metrics_table,
-    run_experiment,
-    save_logs,
-)
-from .hybrid import BACKEND_FAILURE, audit_log_lines, run_pipeline
-from .mutate import (
-    Exhaustive,
-    MutantManifest,
-    MutationError,
-    Sample,
-    Seed,
-    bundled_seed_paths,
-    generate_corpus,
-)
-from .parser import parse_ruleset
-from .report import (
-    finding_to_json,
-    parse_structured,
-    render_structured,
-    render_structured_lines,
-    render_text,
-    report_to_json,
-)
-from .source import SourceFile
+
+if TYPE_CHECKING:
+    from .evaluate import ExperimentConfig, GroundTruthEntry
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -96,6 +63,11 @@ def _collect_rules_files(paths: list[str]) -> list[Path]:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
+    from .detector import DetectorConfig, detect_file
+    from .parser import parse_ruleset
+    from .report import render_structured, render_structured_lines, render_text
+    from .source import SourceFile
+
     try:
         config = _load_tool_config(args.config)
     except ConfigError as exc:
@@ -135,6 +107,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_mutate(args: argparse.Namespace) -> int:
+    from .detector import CATEGORY_ORDER, FineCategory
+    from .mutate import Exhaustive, MutationError, Sample, Seed, bundled_seed_paths, generate_corpus
+
     if args.strategy == "sample":
         if args.sample_n is None or args.rng_seed is None:
             return _fail("--strategy sample requires --sample-n and --rng-seed")
@@ -175,6 +150,9 @@ def cmd_mutate(args: argparse.Namespace) -> int:
 
 
 def _make_adjudicator(args: argparse.Namespace, config: ToolConfig):
+    from .client import HttpBackend, StubAdjudicator
+    from .hybrid import ModelAdjudicator
+
     if args.stub:
         if args.stub in ("accept-all", "reject-all"):
             return StubAdjudicator(args.stub)
@@ -187,13 +165,14 @@ def _make_adjudicator(args: argparse.Namespace, config: ToolConfig):
         raise ConfigError(f"unknown stub policy: {args.stub}")
     if config.backend is None:
         raise ConfigError("no backend configured; pass --stub or a config with a backend")
-    from .client import HttpBackend
-    from .hybrid import ModelAdjudicator
-
     return ModelAdjudicator(HttpBackend(config.backend))
 
 
 def cmd_adjudicate(args: argparse.Namespace) -> int:
+    from .detector import FineCategory
+    from .hybrid import audit_log_lines, run_pipeline
+    from .report import finding_to_json, parse_structured, render_text, report_to_json
+
     try:
         config = _load_tool_config(args.config)
         adjudicator = _make_adjudicator(args, config)
@@ -237,6 +216,8 @@ def _predictor_from_spec(
     strict: bool,
     tool_config: ToolConfig,
 ):
+    from .evaluate import backend_predictor, constant_predictor, detector_predictor, echo_predictor
+
     if spec == "echo":
         return echo_predictor(dataset, config.taxonomy)
     if spec.startswith("constant:"):
@@ -247,7 +228,6 @@ def _predictor_from_spec(
         if tool_config.backend is None:
             raise ConfigError("--predictor backend needs a config file with a backend section")
         from .client import HttpBackend
-        from .evaluate import backend_predictor
         from .prompts import PromptTemplate
 
         template = PromptTemplate(config.shots, config.taxonomy, config.multi_response)
@@ -283,6 +263,20 @@ def _predictions_from_file(path: str) -> dict[str, tuple[str, ...]]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .evaluate import (
+        EXPERIMENT_CELLS,
+        ExperimentConfig,
+        ground_truth_from_manifest,
+        load_ground_truth,
+        load_logs,
+        metrics_from_logs,
+        render_metrics_table,
+        run_experiment,
+        save_logs,
+    )
+    from .mutate import MutantManifest
+    from .prompts import BACKEND_FAILURE
+
     if args.experiment:
         config = EXPERIMENT_CELLS[args.experiment]
         config = ExperimentConfig(config.taxonomy, config.multi_response, args.shots)
@@ -386,7 +380,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", help="JSONL of {instance_id, labels} predictions")
     p.add_argument("--predictor", help="predictor: echo | detector | constant:<LABEL> | backend")
     p.add_argument("--replay", help="recompute metrics from a per-instance log")
-    p.add_argument("--experiment", choices=tuple(EXPERIMENT_CELLS), help="preset cell: A/B six-class, C/D three-class")
+    p.add_argument("--experiment", choices=("A", "B", "C", "D"), help="preset cell: A/B six-class, C/D three-class")
     p.add_argument("--taxonomy", choices=("six", "three"), default="six", help="label granularity")
     p.add_argument("--scoring", choices=("multi", "single"), default="multi", help="multiple responses allowed or not")
     p.add_argument("--shots", type=int, choices=(0, 1, 2), default=0, help="examples per category in prompts")

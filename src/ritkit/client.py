@@ -30,6 +30,8 @@ from typing import TYPE_CHECKING, Callable
 if TYPE_CHECKING:
     import http.client
 
+    from .config import BackendConfig
+
 RETRYABLE_STATUSES = {429, 503}
 
 ERROR_RATE_LIMITED = "rate-limited"
@@ -52,30 +54,6 @@ class BackendError(Exception):
         super().__init__(f"backend exhausted: {error_class}")
         self.error_class = error_class
         self.record = record
-
-
-@dataclass(frozen=True)
-class BackendConfig:
-    endpoint: str
-    model: str
-    api_key_env: str = "RITKIT_API_KEY"
-    temperature: float = 0.2
-    top_p: float = 0.95
-    max_output_tokens: int = 2048
-    timeout: float = 60.0
-    max_retries: int = 4
-    backoff_base: float = 0.5
-    rate_limit_per_sec: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if not 0 < self.top_p <= 1:
-            raise ValueError("top_p must be in (0, 1]")
-        if self.max_output_tokens <= 0:
-            raise ValueError("max_output_tokens must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
 
 
 @dataclass(frozen=True)

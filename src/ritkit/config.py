@@ -1,4 +1,13 @@
-"""Shared tool configuration file (JSON), with unknown keys rejected."""
+"""Shared tool configuration file (JSON), with unknown keys rejected.
+
+Each value must have its JSON type: `strict_event_matching` is `true` or
+`false`, `routed_set` a list of category names and `format` a string. In
+`backend`, `endpoint`, `model` and `api_key_env` are strings,
+`max_output_tokens` and `max_retries` integers, and the other fields
+numbers; a boolean is not a number. `timeout` must be positive and
+`rate_limit_per_sec` null, 0 (both: no limit) or positive. A violation is a
+`ConfigError`.
+"""
 
 from __future__ import annotations
 
@@ -6,12 +15,56 @@ import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .client import BackendConfig
 from .detector import FineCategory
 
 
 class ConfigError(Exception):
     pass
+
+
+def _is_number(value: object, integral: bool = False) -> bool:
+    return isinstance(value, int if integral else (int, float)) and not isinstance(value, bool)
+
+
+@dataclass(frozen=True)
+class BackendConfig:
+    endpoint: str
+    model: str
+    api_key_env: str = "RITKIT_API_KEY"
+    temperature: float = 0.2
+    top_p: float = 0.95
+    max_output_tokens: int = 2048
+    timeout: float = 60.0
+    max_retries: int = 4
+    backoff_base: float = 0.5
+    rate_limit_per_sec: float | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("endpoint", "model", "api_key_env"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string")
+        for name in ("temperature", "top_p", "timeout", "backoff_base"):
+            if not _is_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a number")
+        for name in ("max_output_tokens", "max_retries"):
+            if not _is_number(getattr(self, name), integral=True):
+                raise ValueError(f"{name} must be an integer")
+        if self.rate_limit_per_sec is not None and not _is_number(self.rate_limit_per_sec):
+            raise ValueError("rate_limit_per_sec must be null or a number")
+        if self.temperature < 0:
+            raise ValueError("temperature must be >= 0")
+        if not 0 < self.top_p <= 1:
+            raise ValueError("top_p must be in (0, 1]")
+        if self.max_output_tokens <= 0:
+            raise ValueError("max_output_tokens must be positive")
+        if self.timeout <= 0:
+            raise ValueError("timeout must be positive")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        if self.backoff_base < 0:
+            raise ValueError("backoff_base must be >= 0")
+        if self.rate_limit_per_sec is not None and self.rate_limit_per_sec < 0:
+            raise ValueError("rate_limit_per_sec must be null, 0 or positive")
 
 
 @dataclass(frozen=True)
@@ -22,6 +75,8 @@ class ToolConfig:
     format: str = "text"  # "text" | "structured"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.strict_event_matching, bool):
+            raise ConfigError("strict_event_matching must be true or false")
         for name in self.routed_set:
             try:
                 FineCategory(name)
@@ -62,7 +117,10 @@ def load_config(path: str | Path) -> ToolConfig:
 
     kwargs = {k: v for k, v in data.items() if k != "backend"}
     if "routed_set" in kwargs:
-        kwargs["routed_set"] = tuple(kwargs["routed_set"])
+        routed = kwargs["routed_set"]
+        if not isinstance(routed, list) or not all(isinstance(name, str) for name in routed):
+            raise ConfigError("routed_set must be a JSON list of category names")
+        kwargs["routed_set"] = tuple(routed)
     try:
         return ToolConfig(backend=backend, **kwargs)
     except TypeError as exc:

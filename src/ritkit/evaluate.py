@@ -16,7 +16,7 @@ from typing import Callable, Iterable
 
 from .detector import FineCategory, aggregate
 from .mutate import MutantManifest
-from .prompts import COARSE_LABELS, FINE_LABELS, ParseFailure
+from .prompts import BACKEND_FAILURE, COARSE_LABELS, FINE_LABELS, ParseFailure
 
 Prediction = tuple[str, ...] | ParseFailure
 
@@ -261,7 +261,7 @@ def backend_predictor(template, backend) -> Predictor:
     same failure without a call. Each instance file is still read, so a
     missing one still propagates.
     """
-    from .hybrid import BACKEND_FAILURE, recover_negatives
+    from .hybrid import recover_negatives
 
     gave_up: ParseFailure | None = None  # the first backend failure
 

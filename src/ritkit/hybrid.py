@@ -19,11 +19,9 @@ from typing import Iterable, Protocol
 
 from .client import AdjudicatorUnavailable, BackendError
 from .detector import CoarseCategory, FineCategory, Finding, FindingReport, finding_key
-from .prompts import ParseFailure, PromptTemplate, build_prompt, parse_model_response, scan_labels
+from .prompts import BACKEND_FAILURE, ParseFailure, PromptTemplate, build_prompt, parse_model_response, scan_labels
 
 DEFAULT_ROUTED_SET = frozenset({FineCategory.WAC, FineCategory.WTC})
-
-BACKEND_FAILURE = "backend:"  # prefix of the parse-failure kind of a failed backend call
 
 
 class SubtaskKind(Enum):

@@ -118,6 +118,7 @@ def build_prompt(template: PromptTemplate, ruleset_text: str) -> str:
 PARSE_FAILURE_BLANK = "blank"
 PARSE_FAILURE_NO_LABEL = "no-valid-label"
 PARSE_FAILURE_AMBIGUOUS = "ambiguous"
+BACKEND_FAILURE = "backend:"  # prefix of the kind of a failed backend call: "backend:<error class>"
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ import oracle
 from conftest import parse_fixture
 from mock_backend import MockBackendServer
 
-from ritkit.client import BackendConfig, BackendError, StubAdjudicator, complete
+from ritkit.client import BackendError, StubAdjudicator, complete
+from ritkit.config import BackendConfig
 from ritkit.detector import (
     AC_DESCRIPTION,
     CoarseCategory,

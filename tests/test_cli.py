@@ -288,6 +288,44 @@ class TestConfig:
         assert config_out == flag_out and flag_out.splitlines()[2].endswith("| 100.00%")
         assert flag_out.splitlines()[-1] == "samples: 140, parse failures: 0"
 
+    BACKEND = {"endpoint": "http://localhost:1/v1/chat/completions", "model": "m"}
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"strict_event_matching": "false"}, "strict_event_matching must be true or false"),
+            ({"strict_event_matching": 0}, "strict_event_matching must be true or false"),
+            ({"routed_set": 5}, "routed_set must be a JSON list"),
+            ({"routed_set": "WAC"}, "routed_set must be a JSON list"),
+            ({"routed_set": ["WAC", 5]}, "routed_set must be a JSON list"),
+            ({"backend": {**BACKEND, "rate_limit_per_sec": -1}}, "rate_limit_per_sec must be null, 0 or positive"),
+            ({"backend": {**BACKEND, "rate_limit_per_sec": "2"}}, "rate_limit_per_sec must be null or a number"),
+            ({"backend": {**BACKEND, "timeout": "5"}}, "timeout must be a number"),
+            ({"backend": {**BACKEND, "timeout": 0}}, "timeout must be positive"),
+            ({"backend": {**BACKEND, "temperature": True}}, "temperature must be a number"),
+            ({"backend": {**BACKEND, "max_retries": 2.5}}, "max_retries must be an integer"),
+            ({"backend": {**BACKEND, "max_output_tokens": False}}, "max_output_tokens must be an integer"),
+            ({"backend": {**BACKEND, "backoff_base": -1}}, "backoff_base must be >= 0"),
+            ({"backend": {**BACKEND, "model": 5}}, "model must be a string"),
+        ],
+    )
+    def test_values_must_have_their_json_type(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+        code, out, err = run_cli(capsys, "detect", str(BENIGN), "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("limit", [None, 0, 2, 0.5])
+    def test_no_rate_limit_or_a_positive_one_loads(self, tmp_path, limit):
+        path = tmp_path / "config.json"
+        backend = {**self.BACKEND, "rate_limit_per_sec": limit, "timeout": 5, "max_retries": 0}
+        path.write_text(json.dumps({"backend": backend, "routed_set": []}), encoding="utf-8")
+        config = load_config(path)
+        assert config.backend.rate_limit_per_sec == limit and config.routed_set == ()
+
 
 class TestStartUp:
     SRC = str(Path(__file__).parent.parent / "src")
@@ -297,11 +335,49 @@ class TestStartUp:
         code = "import ritkit.cli, sys; sys.exit('requests' in sys.modules or 'http.client' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", code], env=self.ENV, timeout=60).returncode == 0
 
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """A sampled mutation manifest and a structured report, made in-process."""
+        work = tmp_path_factory.mktemp("start-up")
+        corpus = work / "corpus"
+        main(["mutate", "--out-dir", str(corpus), "--strategy", "sample", "--sample-n", "4", "--rng-seed", "1"])
+        report = work / "report.json"
+        main(["detect", str(DATA / "hybrid_mixed.rules"), "--format", "structured", "--out", str(report)])
+        return {"manifest": str(corpus / "manifest.jsonl"), "report": str(report), "out": str(work / "m")}
+
+    @pytest.mark.parametrize(
+        "argv, not_loaded",
+        [
+            (["detect", str(BENIGN)], {"mutate", "evaluate", "hybrid", "client", "prompts"}),
+            (["mutate", str(BENIGN), "--out-dir", "{out}", "--operators", "SAC"], {"evaluate", "hybrid", "client", "prompts"}),
+            (["eval", "--manifest", "{manifest}", "--predictor", "detector"], {"hybrid", "client"}),
+            (["adjudicate", "{report}", "--stub", "accept-all"], {"mutate", "evaluate"}),
+        ],
+        ids=["detect", "mutate", "eval-detector", "adjudicate-stub"],
+    )
+    def test_each_subcommand_loads_only_its_own_modules(self, inputs, argv, not_loaded):
+        argv = [arg.format(**inputs) for arg in argv]
+        code = (
+            "import contextlib, io, sys\n"
+            "from ritkit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({argv!r})\n"
+            "print(code, 'http.client' in sys.modules, *sorted(m for m in sys.modules if m.startswith('ritkit.')))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=self.ENV, timeout=60, capture_output=True, text=True, check=True
+        )
+        status, http_loaded, *modules = result.stdout.split()
+        assert (status, http_loaded) == ("0", "False")
+        loaded = {m.removeprefix("ritkit.") for m in modules}
+        assert "cli" in loaded and loaded.isdisjoint(not_loaded), sorted(loaded & not_loaded)
+
     def test_backend_call_never_loads_requests(self):
         with MockBackendServer([(200, "WAC")], keep_alive=True) as server:
             code = (
                 "import sys\n"
-                "from ritkit.client import BackendConfig, HttpBackend\n"
+                "from ritkit.client import HttpBackend\n"
+                "from ritkit.config import BackendConfig\n"
                 f"answer = HttpBackend(BackendConfig(endpoint={server.endpoint!r}, model='m')).complete('p')\n"
                 "sys.exit(answer != 'WAC' or 'requests' in sys.modules)\n"
             )
@@ -339,6 +415,13 @@ class TestHelp:
             help_text = capsys.readouterr().out
             for flag in flags:
                 assert flag in help_text, f"{command} help is missing {flag}"
+
+    def test_experiment_choices_are_the_cells(self):
+        from ritkit.evaluate import EXPERIMENT_CELLS
+
+        subparsers = build_arg_parser()._subparsers._group_actions[0]
+        experiment = next(a for a in subparsers.choices["eval"]._actions if a.dest == "experiment")
+        assert tuple(experiment.choices) == tuple(EXPERIMENT_CELLS) == ("A", "B", "C", "D")
 
 
 class TestTableStubCli:

@@ -10,7 +10,6 @@ import pytest
 from mock_backend import MockBackendServer, StubBackend
 
 from ritkit.client import (
-    BackendConfig,
     BackendError,
     HttpBackend,
     StubAdjudicator,
@@ -18,6 +17,7 @@ from ritkit.client import (
     backoff_base_delay,
     complete,
 )
+from ritkit.config import BackendConfig
 
 NO_SLEEP = lambda _t: None  # noqa: E731
 

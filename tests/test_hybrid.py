@@ -6,7 +6,8 @@ import pytest
 from conftest import parse_text
 from mock_backend import MockBackendServer, StubBackend
 
-from ritkit.client import AdjudicatorUnavailable, BackendConfig, HttpBackend, StubAdjudicator
+from ritkit.client import AdjudicatorUnavailable, HttpBackend, StubAdjudicator
+from ritkit.config import BackendConfig
 from ritkit.detector import FindingReport, FineCategory, detect_file, finding_key
 from ritkit.hybrid import (
     DEFAULT_ROUTED_SET,
