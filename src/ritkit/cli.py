@@ -170,7 +170,8 @@ def _make_adjudicator(args: argparse.Namespace, config: ToolConfig):
 
 def cmd_adjudicate(args: argparse.Namespace) -> int:
     from .detector import FineCategory
-    from .hybrid import audit_log_lines, run_pipeline
+    from .hybrid import run_pipeline
+    from .records import dump_records
     from .report import finding_to_json, parse_structured, render_text, report_to_json
 
     try:
@@ -189,7 +190,7 @@ def cmd_adjudicate(args: argparse.Namespace) -> int:
     result = run_pipeline(report, adjudicator, routed)
 
     if args.audit_log:
-        Path(args.audit_log).write_text(audit_log_lines(result.audit), encoding="utf-8")
+        Path(args.audit_log).write_text(dump_records(result.audit), encoding="utf-8")
     for ref in result.fail_open_refs:
         print(f"warning: adjudicator unavailable, fail-open kept finding {ref}", file=sys.stderr)
 
@@ -235,47 +236,19 @@ def _predictor_from_spec(
     raise ConfigError(f"unknown predictor: {spec}")
 
 
-def _prediction(obj: object) -> tuple[str, tuple[str, ...]]:
-    """The instance id and labels of one prediction line's JSON value."""
-    if not isinstance(obj, dict) or not isinstance(obj.get("instance_id"), str):
-        raise ValueError("a prediction must be a JSON object with a string instance_id")
-    instance_id = obj["instance_id"]
-    if "labels" not in obj:
-        raise ValueError(f"instance {instance_id}: no labels")
-    labels = obj["labels"]
-    if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
-        raise ValueError(f"instance {instance_id}: labels must be a JSON list of strings")
-    return instance_id, tuple(labels)
-
-
-def _predictions_from_file(path: str) -> dict[str, tuple[str, ...]]:
-    out: dict[str, tuple[str, ...]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                instance_id, labels = _prediction(json.loads(line))  # json.JSONDecodeError is a ValueError
-            except ValueError as exc:
-                raise ValueError(f"line {n}: {exc}") from exc
-            out[instance_id] = labels
-    return out
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     from .evaluate import (
         EXPERIMENT_CELLS,
         ExperimentConfig,
-        ground_truth_from_manifest,
+        InstanceLog,
         load_ground_truth,
-        load_logs,
+        load_predictions,
         metrics_from_logs,
         render_metrics_table,
         run_experiment,
-        save_logs,
     )
-    from .mutate import MutantManifest
     from .prompts import BACKEND_FAILURE
+    from .records import dump_records, read_records
 
     if args.experiment:
         config = EXPERIMENT_CELLS[args.experiment]
@@ -285,27 +258,23 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     if args.replay:
         try:
-            logs = load_logs(args.replay)
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
+            logs = read_records(args.replay, InstanceLog)
+        except (OSError, ValueError) as exc:
             return _fail(f"cannot load replay log {args.replay}: {exc}")
         row = metrics_from_logs(logs)
         print(render_metrics_table(row, config.labels, name="replay"))
         return EXIT_CLEAN
 
     try:
-        try:
-            dataset = load_ground_truth(args.manifest)
-        except KeyError:
-            # Mutation manifests convert directly to ground truth.
-            dataset = ground_truth_from_manifest(MutantManifest.load(args.manifest))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        dataset = load_ground_truth(args.manifest)
+    except (OSError, ValueError) as exc:
         return _fail(f"cannot load manifest {args.manifest}: {exc}")
     if not dataset:
         return _fail("manifest is empty")
 
     if args.predictions:
         try:
-            predictions = _predictions_from_file(args.predictions)
+            predictions = load_predictions(args.predictions)
         except (OSError, ValueError) as exc:
             return _fail(f"cannot load predictions {args.predictions}: {exc}")
         dataset_ids = {e.instance_id for e in dataset}
@@ -330,7 +299,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if log.failure and log.failure.startswith(BACKEND_FAILURE):
             print(f"warning: {log.failure} on instance {log.instance_id}, scored as a parse failure", file=sys.stderr)
     if args.per_instance_log:
-        save_logs(logs, args.per_instance_log)
+        Path(args.per_instance_log).write_text(dump_records(logs), encoding="utf-8")
     print(render_metrics_table(row, config.labels, name=args.predictor or "predictions"))
     return EXIT_CLEAN
 

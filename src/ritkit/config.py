@@ -4,14 +4,15 @@ Each value must have its JSON type: `strict_event_matching` is `true` or
 `false`, `routed_set` a list of category names and `format` a string. In
 `backend`, `endpoint`, `model` and `api_key_env` are strings,
 `max_output_tokens` and `max_retries` integers, and the other fields
-numbers; a boolean is not a number. `timeout` must be positive and
-`rate_limit_per_sec` null, 0 (both: no limit) or positive. A violation is a
-`ConfigError`.
+numbers; a boolean is not a number, and neither is NaN or an infinity.
+`timeout` must be positive and `rate_limit_per_sec` null, 0 (both: no
+limit) or positive. A violation is a `ConfigError`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -23,7 +24,7 @@ class ConfigError(Exception):
 
 
 def _is_number(value: object, integral: bool = False) -> bool:
-    return isinstance(value, int if integral else (int, float)) and not isinstance(value, bool)
+    return isinstance(value, int if integral else (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)

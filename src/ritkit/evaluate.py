@@ -12,11 +12,12 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, TypeVar
 
 from .detector import FineCategory, aggregate
 from .mutate import MutantManifest
 from .prompts import BACKEND_FAILURE, COARSE_LABELS, FINE_LABELS, ParseFailure
+from .records import read_records
 
 Prediction = tuple[str, ...] | ParseFailure
 
@@ -40,19 +41,25 @@ class GroundTruthEntry:
     def label(self, taxonomy: str) -> str:
         return self.fine if taxonomy == "six" else self.coarse
 
-    @staticmethod
-    def from_json(obj: dict) -> "GroundTruthEntry":
-        return GroundTruthEntry(
-            instance_id=obj["instance_id"],
-            source=obj["source"],
-            rule_a=obj["rule_a"],
-            rule_b=obj["rule_b"],
-            fine=obj["fine"],
-            coarse=obj.get("coarse", ""),
-        )
+
+@dataclass(frozen=True)
+class PredictionEntry:
+    """One line of a predictions file."""
+
+    instance_id: str
+    labels: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.instance_id, str):
+            raise ValueError("instance_id must be a string")
+        if not isinstance(self.labels, tuple) or not all(isinstance(label, str) for label in self.labels):
+            raise ValueError(f"instance {self.instance_id}: labels must be a JSON list of strings")
 
 
-def _check_unique_ids(entries: list[GroundTruthEntry]) -> list[GroundTruthEntry]:
+R = TypeVar("R", GroundTruthEntry, PredictionEntry)
+
+
+def _check_unique_ids(entries: list[R]) -> list[R]:
     seen: set[str] = set()
     for entry in entries:
         if entry.instance_id in seen:
@@ -77,12 +84,24 @@ def ground_truth_from_manifest(manifest: MutantManifest) -> list[GroundTruthEntr
 
 
 def load_ground_truth(path: str | Path) -> list[GroundTruthEntry]:
-    entries = []
+    """Ground truth from a ground-truth file or a mutation manifest.
+
+    The first record decides which: a `mutant_id` key means a manifest.
+    """
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                entries.append(GroundTruthEntry.from_json(json.loads(line)))
-    return _check_unique_ids(entries)
+        first = next((line for line in fh if line.strip()), "")
+    try:
+        keys = json.loads(first)
+    except ValueError:
+        keys = {}  # reading it as ground truth names the bad line
+    if isinstance(keys, dict) and "mutant_id" in keys:
+        return ground_truth_from_manifest(MutantManifest.load(path))
+    return _check_unique_ids(read_records(path, GroundTruthEntry))
+
+
+def load_predictions(path: str | Path) -> dict[str, tuple[str, ...]]:
+    """Labels by instance id; an id on two lines is a ValueError."""
+    return {p.instance_id: p.labels for p in _check_unique_ids(read_records(path, PredictionEntry))}
 
 
 @dataclass(frozen=True)
@@ -196,29 +215,9 @@ class MetricsRow:
 class InstanceLog:
     instance_id: str
     truth: str
-    labels: tuple[str, ...] | None
-    failure: str | None
     correct: bool
-
-    def to_json(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "truth": self.truth,
-            "labels": list(self.labels) if self.labels is not None else None,
-            "failure": self.failure,
-            "correct": self.correct,
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "InstanceLog":
-        labels = obj.get("labels")
-        return InstanceLog(
-            instance_id=obj["instance_id"],
-            truth=obj["truth"],
-            labels=tuple(labels) if labels is not None else None,
-            failure=obj.get("failure"),
-            correct=obj["correct"],
-        )
+    labels: tuple[str, ...] | None = None  # None on a parse failure
+    failure: str | None = None
 
 
 Predictor = Callable[[GroundTruthEntry], Prediction]
@@ -317,21 +316,6 @@ def metrics_from_logs(logs: Iterable[InstanceLog]) -> MetricsRow:
         parse_failures=tally.parse_failures,
         total=tally.total,
     )
-
-
-def save_logs(logs: Iterable[InstanceLog], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for log in logs:
-            fh.write(json.dumps(log.to_json(), sort_keys=True) + "\n")
-
-
-def load_logs(path: str | Path) -> list[InstanceLog]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                out.append(InstanceLog.from_json(json.loads(line)))
-    return out
 
 
 def render_metrics_table(row: MetricsRow, labels: tuple[str, ...], name: str = "run") -> str:

@@ -12,10 +12,9 @@ asking the adjudicator again.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Protocol
+from typing import Protocol
 
 from .client import AdjudicatorUnavailable, BackendError
 from .detector import CoarseCategory, FineCategory, Finding, FindingReport, finding_key
@@ -87,18 +86,10 @@ def subtasks_for(finding: Finding) -> tuple[AdjudicationSubtask, ...]:
 
 @dataclass(frozen=True)
 class AuditRecord:
-    finding_ref: str
+    finding: str  # the finding's key
     subtask: str
     raw_response: str
     uphold: bool
-
-    def to_json(self) -> dict:
-        return {
-            "finding": self.finding_ref,
-            "subtask": self.subtask,
-            "raw_response": self.raw_response,
-            "uphold": self.uphold,
-        }
 
 
 class SubtaskAdjudicator(Protocol):
@@ -171,10 +162,6 @@ def run_pipeline(
         kept.append(finding)
     final = FindingReport(file=report.file, findings=tuple(kept))
     return ReconciledReport(final, tuple(discarded), tuple(sorted(fail_open)), tuple(audit))
-
-
-def audit_log_lines(records: Iterable[AuditRecord]) -> str:
-    return "".join(json.dumps(r.to_json(), sort_keys=True) + "\n" for r in records)
 
 
 # ---------------------------------------------------------------------------

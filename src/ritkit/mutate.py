@@ -18,10 +18,9 @@ event matching; such misses carry the `strict-event-matching` cause tag.
 
 from __future__ import annotations
 
-import json
 import os
 import random
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable, Iterable
@@ -54,6 +53,7 @@ from .ir import (
     rule_source,
 )
 from .parser import parse_rule_block, parse_ruleset
+from .records import dump_records, read_records
 from .semantics import triggers_overlap, value_conflicts
 from .source import SourceFile
 
@@ -102,21 +102,8 @@ class MutantRecord:
     output_path: str
     miss_cause: str | None = None
 
-    def to_json(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @staticmethod
-    def from_json(obj: dict) -> "MutantRecord":
-        return MutantRecord(
-            mutant_id=obj["mutant_id"],
-            seed_file=obj["seed_file"],
-            operator=obj["operator"],
-            rule_a=obj["rule_a"],
-            rule_b=obj["rule_b"],
-            injected=dict(obj["injected"]),
-            output_path=obj["output_path"],
-            miss_cause=obj.get("miss_cause"),
-        )
+    def __post_init__(self) -> None:
+        FineCategory(self.operator)  # a ValueError names an unknown operator
 
 
 @dataclass
@@ -129,19 +116,9 @@ class MutantManifest:
             out[rec.operator] += 1
         return out
 
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for rec in self.records:
-                fh.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
-
     @staticmethod
     def load(path: str | Path) -> "MutantManifest":
-        records = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    records.append(MutantRecord.from_json(json.loads(line)))
-        return MutantManifest(records)
+        return MutantManifest(read_records(path, MutantRecord))
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +608,7 @@ def generate_corpus(
             manifest.records.append(record)
         manifest_path = out / "manifest.jsonl"
         written.append(manifest_path)
-        manifest.save(manifest_path)
+        manifest_path.write_text(dump_records(manifest.records), encoding="utf-8")
     except BaseException:
         # A failed run leaves no half-written corpus behind.
         for path in written:

@@ -1,0 +1,46 @@
+"""The JSON-lines format of every flat record file.
+
+Mutation manifests, ground truth, predictions, per-instance logs and audit
+logs each hold one record (a dataclass) per line: a JSON object whose keys
+are the field names, sorted. Reading skips blank lines and ignores keys the
+record does not have; an absent optional key takes its field's default, and
+a JSON array value becomes a tuple.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import MISSING, fields
+from pathlib import Path
+from typing import Iterable, TypeVar
+
+R = TypeVar("R")
+
+
+def dump_records(records: Iterable) -> str:
+    return "".join(json.dumps({f.name: getattr(r, f.name) for f in fields(r)}, sort_keys=True) + "\n" for r in records)
+
+
+def read_records(path: str | Path, cls: type[R]) -> list[R]:
+    """The records of one file, in order.
+
+    A line that is not a JSON object, lacks a required key, or whose record
+    raises ValueError raises ValueError("line N: ...").
+    """
+    names = {f.name for f in fields(cls)}
+    required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+    out = []
+    for n, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)  # json.JSONDecodeError is a ValueError
+            if not isinstance(obj, dict):
+                raise ValueError("not a JSON object")
+            missing = [name for name in required if name not in obj]
+            if missing:
+                raise ValueError(f"missing key {missing[0]!r}")
+            out.append(cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in obj.items() if k in names}))
+        except ValueError as exc:
+            raise ValueError(f"line {n}: {exc}") from exc
+    return out

@@ -147,9 +147,9 @@ class TestMutateAndEvalCommands:
     @pytest.mark.parametrize(
         "line, problem",
         [
-            ("[1, 2]", "a prediction must be a JSON object with a string instance_id"),
-            ('{"instance_id": 5, "labels": ["SAC"]}', "a prediction must be a JSON object with a string instance_id"),
-            ('{"instance_id": "m0001"}', "instance m0001: no labels"),
+            ("[1, 2]", "not a JSON object"),
+            ('{"instance_id": 5, "labels": ["SAC"]}', "instance_id must be a string"),
+            ('{"instance_id": "m0001"}', "missing key 'labels'"),
         ],
         ids=["not-an-object", "non-string-id", "no-labels"],
     )
@@ -163,6 +163,43 @@ class TestMutateAndEvalCommands:
         code, out, err = run_cli(capsys, "eval", "--manifest", str(manifest), "--predictions", str(predictions))
         assert (code, out) == (2, "")
         assert err == f"error: cannot load predictions {predictions}: line 3: {problem}\n"
+
+    def test_eval_duplicate_prediction_id_is_fatal(self, capsys, corpus, tmp_path):
+        manifest = corpus / "manifest.jsonl"
+        ids = [json.loads(line)["mutant_id"] for line in manifest.read_text().splitlines()]
+        predictions = tmp_path / "preds.jsonl"
+        lines = [json.dumps({"instance_id": i, "labels": ["SAC"]}) for i in [*ids, ids[4]]]
+        predictions.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "eval", "--manifest", str(manifest), "--predictions", str(predictions))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot load predictions {predictions}: duplicate instance id: {ids[4]}\n"
+
+    MUTANT = {"mutant_id": "m1", "seed_file": "s.rules", "operator": "SAC", "rule_a": "r1", "rule_b": "r2",
+              "injected": {}, "output_path": "m1.rules"}
+
+    @pytest.mark.parametrize(
+        "flag, lines, problem",
+        [
+            ("--manifest", ["[1, 2]"], "line 2: not a JSON object"),
+            ("--manifest", [{"instance_id": "i1", "rule_a": "r1", "rule_b": "r2", "fine": "SAC"}],
+             "line 2: missing key 'source'"),
+            ("--manifest", [MUTANT, "[1, 2]"], "line 3: not a JSON object"),
+            ("--manifest", [{k: v for k, v in MUTANT.items() if k != "output_path"}], "line 2: missing key 'output_path'"),
+            ("--manifest", [{**MUTANT, "operator": "XYZ"}], "line 2: 'XYZ' is not a valid FineCategory"),
+            ("--replay", ["[1, 2]"], "line 2: not a JSON object"),
+            ("--replay", [{"instance_id": "i1", "truth": "SAC"}], "line 2: missing key 'correct'"),
+        ],
+        ids=["gt-not-an-object", "gt-no-source", "manifest-not-an-object", "manifest-no-output-path",
+             "manifest-bad-operator", "log-not-an-object", "log-no-correct"],
+    )
+    def test_eval_malformed_record_line_is_named(self, capsys, tmp_path, flag, lines, problem):
+        path = tmp_path / "records.jsonl"
+        text = [line if isinstance(line, str) else json.dumps(line) for line in lines]
+        path.write_text("\n" + "\n".join(text) + "\n", encoding="utf-8")  # the first record is on line 2
+        code, out, err = run_cli(capsys, "eval", flag, str(path), "--predictor", "echo")
+        kind = "manifest" if flag == "--manifest" else "replay log"
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot load {kind} {path}: {problem}\n"
 
     def test_failed_mutate_run_leaves_no_mutants(self, capsys, tmp_path):
         seed = tmp_path / "gen67.rules"
@@ -307,6 +344,10 @@ class TestConfig:
             ({"backend": {**BACKEND, "max_output_tokens": False}}, "max_output_tokens must be an integer"),
             ({"backend": {**BACKEND, "backoff_base": -1}}, "backoff_base must be >= 0"),
             ({"backend": {**BACKEND, "model": 5}}, "model must be a string"),
+            ({"backend": {**BACKEND, "temperature": float("nan")}}, "temperature must be a number"),
+            ({"backend": {**BACKEND, "backoff_base": float("nan")}}, "backoff_base must be a number"),
+            ({"backend": {**BACKEND, "timeout": float("inf")}}, "timeout must be a number"),
+            ({"backend": {**BACKEND, "rate_limit_per_sec": float("inf")}}, "rate_limit_per_sec must be null or a number"),
         ],
     )
     def test_values_must_have_their_json_type(self, capsys, tmp_path, doc, message):

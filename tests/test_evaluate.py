@@ -14,6 +14,7 @@ from ritkit.evaluate import (
     ConfusionTally,
     ExperimentConfig,
     GroundTruthEntry,
+    InstanceLog,
     backend_predictor,
     constant_predictor,
     detector_predictor,
@@ -21,7 +22,6 @@ from ritkit.evaluate import (
     format_percent,
     ground_truth_from_manifest,
     hybrid_precision,
-    load_logs,
     metrics_from_logs,
     micro_accuracy,
     per_class_recall,
@@ -29,11 +29,11 @@ from ritkit.evaluate import (
     recall,
     render_metrics_table,
     run_experiment,
-    save_logs,
     score_prediction,
 )
 from ritkit.mutate import MutantManifest, MutantRecord
 from ritkit.prompts import FINE_LABELS, ParseFailure, PromptTemplate
+from ritkit.records import dump_records, read_records
 
 MULTI = ExperimentConfig("six", True)
 SINGLE = ExperimentConfig("six", False)
@@ -154,8 +154,8 @@ class TestRunExperiment:
         predictor = lambda e: (rng.choice(FINE_LABELS),)  # noqa: E731
         row, logs = run_experiment(SINGLE, dataset, predictor)
         path = tmp_path / "log.jsonl"
-        save_logs(logs, path)
-        assert metrics_from_logs(load_logs(path)) == row
+        path.write_text(dump_records(logs), encoding="utf-8")
+        assert metrics_from_logs(read_records(path, InstanceLog)) == row
 
     def test_predictor_exception_propagates(self):
         def broken(entry):

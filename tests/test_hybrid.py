@@ -14,12 +14,12 @@ from ritkit.hybrid import (
     ModelAdjudicator,
     SubtaskKind,
     adjudicate,
-    audit_log_lines,
     recover_negatives,
     run_pipeline,
     subtasks_for,
 )
 from ritkit.prompts import ParseFailure, PromptTemplate
+from ritkit.records import dump_records
 from ritkit.report import render_text
 
 MIXED_RULESET = """\
@@ -69,7 +69,7 @@ class TestRouting:
         wac = _first(mixed_report, FineCategory.WAC)
         result = run_pipeline(mixed_report, StubAdjudicator("reject-all"))
         assert wac in result.discarded
-        assert finding_key(wac) in {r.finding_ref for r in result.audit}
+        assert finding_key(wac) in {r.finding for r in result.audit}
 
     def test_strong_categories_pass_through(self, fire_alarm_pair, sprinkler_pair):
         for pair in (fire_alarm_pair, sprinkler_pair):
@@ -81,7 +81,7 @@ class TestRouting:
         stc = _first(mixed_report, FineCategory.STC)
         result = run_pipeline(mixed_report, StubAdjudicator("reject-all"))
         assert stc in result.final.findings
-        assert finding_key(stc) not in {r.finding_ref for r in result.audit}
+        assert finding_key(stc) not in {r.finding for r in result.audit}
 
     def test_routed_set_is_configurable(self, sprinkler_pair):
         report = detect_file(sprinkler_pair)
@@ -122,7 +122,7 @@ class TestAdjudicate:
         assert result.discarded == (wac,)
         # The rejecting subtask is on record, and the NO did not cut the
         # remaining subtask short.
-        answers = [(r.subtask, r.uphold) for r in result.audit if r.finding_ref == key]
+        answers = [(r.subtask, r.uphold) for r in result.audit if r.finding == key]
         assert answers == [("trigger-overlap", False), ("action-conflict", True)]
 
     def test_intended_cascade_discards(self, mixed_report):
@@ -171,7 +171,7 @@ class TestReconcile:
         wacs = [f for f in mixed_report.findings if f.category is FineCategory.WAC]
         table = {finding_key(f): (i % 2 == 0) for i, f in enumerate(wacs)}
         result = run_pipeline(mixed_report, StubAdjudicator("table", table=table), frozenset({FineCategory.WAC}))
-        rejected = {r.finding_ref for r in result.audit if not r.uphold}
+        rejected = {r.finding for r in result.audit if not r.uphold}
         assert [finding_key(f) for f in result.discarded] == [k for k in table if k in rejected]
         assert len(result.final.findings) == len(mixed_report.findings) - len(rejected)
 
@@ -208,7 +208,7 @@ class TestFailOpen:
         assert wac in result.final.findings and result.discarded == ()
         assert finding_key(wac) in result.fail_open_refs
         # The answer given before the outage stays on record.
-        records = {(r.finding_ref, r.subtask, r.uphold) for r in result.audit}
+        records = {(r.finding, r.subtask, r.uphold) for r in result.audit}
         assert (finding_key(wac), "trigger-overlap", False) in records
 
 
@@ -237,7 +237,7 @@ class TestBackendOutage:
         first = doubled_report.findings[0]
         result, requests, attempts = self.run([(200, "YES"), (200, "NO")] + [(503, None)] * 9, doubled_report)
         assert requests == 2 + attempts
-        assert [(r.finding_ref, r.subtask, r.uphold) for r in result.audit] == [
+        assert [(r.finding, r.subtask, r.uphold) for r in result.audit] == [
             (finding_key(first), "trigger-overlap", True),
             (finding_key(first), "action-conflict", False),
         ]
@@ -249,7 +249,7 @@ class TestBackendOutage:
 class TestAudit:
     def test_audit_lines_are_json_per_subtask(self, mixed_report):
         result = run_pipeline(mixed_report, StubAdjudicator("accept-all"))
-        lines = audit_log_lines(result.audit).splitlines()
+        lines = dump_records(result.audit).splitlines()
         routed = [f for f in mixed_report.findings if f.category in DEFAULT_ROUTED_SET]
         expected = sum(len(subtasks_for(f)) for f in routed)
         assert len(lines) == expected

@@ -359,7 +359,7 @@ class TestCorpus:
     def test_manifest_round_trip(self, seeds, tmp_path):
         manifest = generate_corpus(seeds[:2], Sample(5, rng_seed=3), tmp_path / "rt")
         loaded = MutantManifest.load(tmp_path / "rt" / "manifest.jsonl")
-        assert [r.to_json() for r in loaded.records] == [r.to_json() for r in manifest.records]
+        assert loaded.records == manifest.records
 
     def test_unwritable_output_dir_fails_before_writing(self, seeds, tmp_path):
         blocked = tmp_path / "blocked"
