@@ -150,35 +150,45 @@ def cmd_mutate(args: argparse.Namespace) -> int:
 
 
 def _make_adjudicator(args: argparse.Namespace, config: ToolConfig):
+    """The adjudicator, and its HTTP backend (None for a stub)."""
     from .client import HttpBackend, StubAdjudicator
     from .hybrid import ModelAdjudicator
 
     if args.stub:
         if args.stub in ("accept-all", "reject-all"):
-            return StubAdjudicator(args.stub)
+            return StubAdjudicator(args.stub), None
         if args.stub.startswith("table:"):
             table_path = args.stub.split(":", 1)[1]
             table = json.loads(Path(table_path).read_text(encoding="utf-8"))
             if not isinstance(table, dict) or not all(isinstance(v, bool) for v in table.values()):
                 raise ConfigError(f"table stub {table_path} must be a JSON object of booleans")
-            return StubAdjudicator("table", table=table)
+            return StubAdjudicator("table", table=table), None
         raise ConfigError(f"unknown stub policy: {args.stub}")
     if config.backend is None:
         raise ConfigError("no backend configured; pass --stub or a config with a backend")
-    return ModelAdjudicator(HttpBackend(config.backend))
+    backend = HttpBackend(config.backend)
+    return ModelAdjudicator(backend), backend
 
 
 def cmd_adjudicate(args: argparse.Namespace) -> int:
+    try:
+        config = _load_tool_config(args.config)
+        adjudicator, backend = _make_adjudicator(args, config)
+    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+        return _fail(str(exc))
+    try:
+        return _reconcile(args, config, adjudicator, backend.config.concurrency if backend else 1)
+    finally:
+        if backend is not None:
+            backend.close()
+
+
+def _reconcile(args: argparse.Namespace, config: ToolConfig, adjudicator, jobs: int) -> int:
     from .detector import FineCategory
     from .hybrid import run_pipeline
     from .records import dump_records
     from .report import finding_to_json, parse_structured, render_text, report_to_json
 
-    try:
-        config = _load_tool_config(args.config)
-        adjudicator = _make_adjudicator(args, config)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
-        return _fail(str(exc))
     try:
         report = parse_structured(Path(args.report).read_text(encoding="utf-8"))
     except (OSError, ValueError, KeyError) as exc:
@@ -187,7 +197,7 @@ def cmd_adjudicate(args: argparse.Namespace) -> int:
         routed = frozenset(FineCategory(name) for name in (args.routed.split(",") if args.routed else config.routed_set))
     except ValueError as exc:
         return _fail(f"unknown category: {exc}")
-    result = run_pipeline(report, adjudicator, routed)
+    result = run_pipeline(report, adjudicator, routed, jobs)
 
     if args.audit_log:
         Path(args.audit_log).write_text(dump_records(result.audit), encoding="utf-8")
@@ -217,14 +227,15 @@ def _predictor_from_spec(
     strict: bool,
     tool_config: ToolConfig,
 ):
+    """The predictor, and its HTTP backend (None for the others)."""
     from .evaluate import backend_predictor, constant_predictor, detector_predictor, echo_predictor
 
     if spec == "echo":
-        return echo_predictor(dataset, config.taxonomy)
+        return echo_predictor(dataset, config.taxonomy), None
     if spec.startswith("constant:"):
-        return constant_predictor(spec.split(":", 1)[1])
+        return constant_predictor(spec.split(":", 1)[1]), None
     if spec == "detector":
-        return detector_predictor(config.taxonomy, strict)
+        return detector_predictor(config.taxonomy, strict), None
     if spec == "backend":
         if tool_config.backend is None:
             raise ConfigError("--predictor backend needs a config file with a backend section")
@@ -232,7 +243,8 @@ def _predictor_from_spec(
         from .prompts import PromptTemplate
 
         template = PromptTemplate(config.shots, config.taxonomy, config.multi_response)
-        return backend_predictor(template, HttpBackend(tool_config.backend))
+        backend = HttpBackend(tool_config.backend)
+        return backend_predictor(template, backend), backend
     raise ConfigError(f"unknown predictor: {spec}")
 
 
@@ -285,16 +297,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 print(f"  {orphan}", file=sys.stderr)
             return EXIT_FATAL
         predictor = lambda entry: predictions[entry.instance_id]  # noqa: E731
+        backend = None
     else:
         try:
             tool_config = _load_tool_config(args.config)
-            predictor = _predictor_from_spec(
+            predictor, backend = _predictor_from_spec(
                 args.predictor, dataset, config, strict=_strict_matching(args, tool_config), tool_config=tool_config
             )
         except ConfigError as exc:
             return _fail(str(exc))
 
-    row, logs = run_experiment(config, dataset, predictor)
+    try:
+        row, logs = run_experiment(config, dataset, predictor, backend.config.concurrency if backend else 1)
+    finally:
+        if backend is not None:
+            backend.close()
     for log in logs:
         if log.failure and log.failure.startswith(BACKEND_FAILURE):
             print(f"warning: {log.failure} on instance {log.instance_id}, scored as a parse failure", file=sys.stderr)

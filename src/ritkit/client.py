@@ -1,14 +1,15 @@
 """Adjudicator backends: a chat-completions HTTP client and a stub adjudicator.
 
 The client needs nothing outside the standard library. Each `HttpBackend`
-talks to its endpoint over one kept-alive `http.client` connection: plain
-for `http://` endpoints, TLS verified against the system CA store for
-`https://` ones. The connection opens on the first call, serves every later
-call and reopens when the server closes it or it drops; a request that a
-reused connection loses before any status line arrives is sent once more on
-a fresh connection, within the same attempt. `HTTP_PROXY`, `HTTPS_PROXY`,
-`ALL_PROXY` and `NO_PROXY` are honoured. The HTTP modules load on the first
-call, so offline subcommands never import them.
+talks to its endpoint over a pool of kept-alive `http.client` connections,
+one for each call in flight: plain for `http://` endpoints, TLS verified
+against the system CA store for `https://` ones. A connection opens on its
+first call, serves later calls and reopens when the server closes it or it
+drops; a request that a reused connection loses before any status line
+arrives is sent once more on a fresh connection, within the same attempt.
+`HTTP_PROXY`, `HTTPS_PROXY`, `ALL_PROXY` and `NO_PROXY` are honoured. The
+HTTP modules load on the first call, so offline subcommands never import
+them.
 
 The client retries 429/503 responses, transport timeouts, refused or dropped
 connections and blank or malformed bodies with exponential backoff plus
@@ -72,7 +73,7 @@ class CallRecord:
 
 
 class TokenBucket:
-    """Thread-safe request-rate cap; one token per request."""
+    """Request-rate cap that threads share; one token per request."""
 
     def __init__(self, rate_per_sec: float, clock: Callable[[], float] = time.monotonic):
         self.rate = rate_per_sec
@@ -278,21 +279,36 @@ def complete(
 class HttpBackend:
     """Adapter giving `complete(config, prompt)` a single-argument surface.
 
-    Every call goes over the backend's one kept-alive `connection`, which
-    lives as long as the backend (`connection.close()` ends it early).
+    Calls may come from several threads at once. Each takes an idle pooled
+    connection, or opens a new one when none is idle, and puts it back when
+    done, so a connection serves one call at a time and the pool holds as
+    many as the most calls that ran at once. All calls share one rate
+    limiter. `close()` closes every pooled connection.
     """
 
     def __init__(self, config: BackendConfig):
         self.config = config
-        self.connection = Connection(config.endpoint, config.timeout)
+        self.idle = [Connection(config.endpoint, config.timeout)]  # checks the endpoint now
+        self.lock = threading.Lock()
         limiter = None
         if config.rate_limit_per_sec:
             limiter = TokenBucket(config.rate_limit_per_sec)
         self.limiter = limiter
 
     def complete(self, prompt: str) -> str:
-        text, _ = complete(self.config, prompt, connection=self.connection, limiter=self.limiter)
+        with self.lock:
+            connection = self.idle.pop() if self.idle else Connection(self.config.endpoint, self.config.timeout)
+        try:
+            text, _ = complete(self.config, prompt, connection=connection, limiter=self.limiter)
+        finally:
+            with self.lock:
+                self.idle.append(connection)
         return text
+
+    def close(self) -> None:
+        with self.lock:
+            for connection in self.idle:
+                connection.close()
 
 
 class AdjudicatorUnavailable(Exception):

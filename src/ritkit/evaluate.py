@@ -16,7 +16,7 @@ from typing import Callable, Iterable, TypeVar
 
 from .detector import FineCategory, aggregate
 from .mutate import MutantManifest
-from .prompts import BACKEND_FAILURE, COARSE_LABELS, FINE_LABELS, ParseFailure
+from .prompts import BACKEND_FAILURE, COARSE_LABELS, FINE_LABELS, ParseFailure, ordered_map
 from .records import read_records
 
 Prediction = tuple[str, ...] | ParseFailure
@@ -50,8 +50,6 @@ class PredictionEntry:
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.instance_id, str):
-            raise ValueError("instance_id must be a string")
         if not isinstance(self.labels, tuple) or not all(isinstance(label, str) for label in self.labels):
             raise ValueError(f"instance {self.instance_id}: labels must be a JSON list of strings")
 
@@ -253,12 +251,16 @@ def detector_predictor(taxonomy: str = "six", strict: bool = True) -> Predictor:
     return predict
 
 
+def _is_outage(pred: Prediction) -> bool:
+    return isinstance(pred, ParseFailure) and pred.kind.startswith(BACKEND_FAILURE)
+
+
 def backend_predictor(template, backend) -> Predictor:
     """Blind classification through a text backend (hybrid recovery mode).
 
     Once a call fails as `backend:<error_class>`, every later instance gets the
     same failure without a call. Each instance file is still read, so a
-    missing one still propagates.
+    missing one still propagates. Calls may run in several threads at once.
     """
     from .hybrid import recover_negatives
 
@@ -270,7 +272,7 @@ def backend_predictor(template, backend) -> Predictor:
         if gave_up is not None:
             return gave_up
         pred = recover_negatives(text, template, backend)
-        if isinstance(pred, ParseFailure) and pred.kind.startswith(BACKEND_FAILURE):
+        if _is_outage(pred):
             gave_up = pred
         return pred
 
@@ -281,27 +283,34 @@ def run_experiment(
     config: ExperimentConfig,
     dataset: list[GroundTruthEntry],
     predictor: Predictor,
+    jobs: int = 1,
 ) -> tuple[MetricsRow, list[InstanceLog]]:
     """Score every instance; the log is sufficient to recompute all metrics.
 
-    A predictor error (say, an unreadable instance file) propagates: a broken
-    corpus must not score as a weak model.
+    Up to `jobs` predictions run at once (see `prompts.ordered_map`); the
+    first backend failure in dataset order stops new ones. A predictor error
+    (say, an unreadable instance file) propagates: a broken corpus must not
+    score as a weak model.
     """
     logs: list[InstanceLog] = []
-    for entry in dataset:
-        truth = entry.label(config.taxonomy)
-        pred = predictor(entry)
-        correct = score_prediction(pred, truth, config)
-        failed = isinstance(pred, ParseFailure)
-        logs.append(
-            InstanceLog(
-                instance_id=entry.instance_id,
-                truth=truth,
-                labels=None if failed else tuple(pred),
-                failure=pred.kind if failed else None,
-                correct=correct,
+    preds = ordered_map(predictor, dataset, jobs, failed=_is_outage)
+    try:
+        for entry in dataset:
+            truth = entry.label(config.taxonomy)
+            pred = next(preds)
+            correct = score_prediction(pred, truth, config)
+            failed = isinstance(pred, ParseFailure)
+            logs.append(
+                InstanceLog(
+                    instance_id=entry.instance_id,
+                    truth=truth,
+                    labels=None if failed else tuple(pred),
+                    failure=pred.kind if failed else None,
+                    correct=correct,
+                )
             )
-        )
+    finally:
+        preds.close()
     return metrics_from_logs(logs), logs
 
 

@@ -3,11 +3,11 @@
 `run_pipeline` walks the detector's findings in order. A finding whose
 category is outside the routed set (default WAC and WTC) is kept as it is.
 A routed one is decomposed into subtasks that a pluggable adjudicator
-answers in turn; every answer goes to the audit log, so a NO does not cut
-the remaining subtasks short. The finding is kept when every subtask upholds
-it and discarded otherwise. An adjudicator outage fails open: the finding is
-kept and its key flagged, and so is every routed finding after it, without
-asking the adjudicator again.
+answers, several at once if asked to; every answer goes to the audit log in
+report order, so a NO does not cut the remaining subtasks short. The finding
+is kept when every subtask upholds it and discarded otherwise. An
+adjudicator outage fails open: the finding is kept and its key flagged, and
+so is every routed finding after it, without asking the adjudicator again.
 """
 
 from __future__ import annotations
@@ -18,7 +18,15 @@ from typing import Protocol
 
 from .client import AdjudicatorUnavailable, BackendError
 from .detector import CoarseCategory, FineCategory, Finding, FindingReport, finding_key
-from .prompts import BACKEND_FAILURE, ParseFailure, PromptTemplate, build_prompt, parse_model_response, scan_labels
+from .prompts import (
+    BACKEND_FAILURE,
+    ParseFailure,
+    PromptTemplate,
+    build_prompt,
+    ordered_map,
+    parse_model_response,
+    scan_labels,
+)
 
 DEFAULT_ROUTED_SET = frozenset({FineCategory.WAC, FineCategory.WTC})
 
@@ -112,21 +120,6 @@ class ModelAdjudicator:
         return scan_labels(response, ("YES", "NO"), multi_allowed=False) != ("NO",), response
 
 
-def adjudicate(finding: Finding, adjudicator: SubtaskAdjudicator, audit: list[AuditRecord]) -> bool:
-    """Ask every subtask of `finding` in turn; True when all uphold the threat.
-
-    Each answer is appended to `audit`, a NO included. Raises
-    AdjudicatorUnavailable when the backend is exhausted.
-    """
-    ref = finding_key(finding)
-    upheld = True
-    for subtask in subtasks_for(finding):
-        ok, raw = adjudicator.answer_subtask(ref, subtask.kind.value, subtask.payload)
-        audit.append(AuditRecord(ref, subtask.kind.value, raw, ok))
-        upheld = upheld and ok
-    return upheld
-
-
 @dataclass(frozen=True)
 class ReconciledReport:
     final: FindingReport
@@ -139,24 +132,41 @@ def run_pipeline(
     report: FindingReport,
     adjudicator: SubtaskAdjudicator,
     routed_set: frozenset[FineCategory] = DEFAULT_ROUTED_SET,
+    jobs: int = 1,
 ) -> ReconciledReport:
-    """Keep, discard or fail open each finding of one detector report, in order."""
+    """Keep, discard or fail open each finding of one detector report, in order.
+
+    Up to `jobs` subtasks are asked at once (see `prompts.ordered_map`), and
+    their answers are read in report order.
+    """
+    asks = [
+        (i, finding_key(finding), subtask)
+        for i, finding in enumerate(report.findings)
+        if finding.category in routed_set
+        for subtask in subtasks_for(finding)
+    ]
+    answers = ordered_map(lambda ask: adjudicator.answer_subtask(ask[1], ask[2].kind.value, ask[2].payload), asks, jobs)
+    audit: list[AuditRecord] = []
+    upheld: dict[int, bool] = {}  # finding index -> every answer so far upholds it
+    gave_up_at = len(report.findings)  # routed findings from this index on fail open
+    try:
+        for i, key, subtask in asks:
+            ok, raw = next(answers)
+            audit.append(AuditRecord(key, subtask.kind.value, raw, ok))
+            upheld[i] = upheld.get(i, True) and ok
+    except AdjudicatorUnavailable:
+        gave_up_at = i
+    finally:
+        answers.close()
+
     kept: list[Finding] = []
     discarded: list[Finding] = []
     fail_open: set[str] = set()
-    audit: list[AuditRecord] = []
-    available = True
-    for finding in report.findings:
+    for i, finding in enumerate(report.findings):
         if finding.category in routed_set:
-            upheld = True
-            if available:
-                try:
-                    upheld = adjudicate(finding, adjudicator, audit)
-                except AdjudicatorUnavailable:
-                    available = False
-            if not available:
+            if i >= gave_up_at:
                 fail_open.add(finding_key(finding))
-            if not upheld:
+            elif not upheld[i]:
                 discarded.append(finding)
                 continue
         kept.append(finding)

@@ -3,8 +3,9 @@
 Mutation manifests, ground truth, predictions, per-instance logs and audit
 logs each hold one record (a dataclass) per line: a JSON object whose keys
 are the field names, sorted. Reading skips blank lines and ignores keys the
-record does not have; an absent optional key takes its field's default, and
-a JSON array value becomes a tuple.
+record does not have; an absent optional key takes its field's default, a
+JSON array value becomes a tuple, and a field annotated `str`, `str | None`
+or `bool` must hold a string, a string or null, or a boolean.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from typing import Iterable, TypeVar
 
 R = TypeVar("R")
 
+# Field annotation -> the JSON values it accepts, and how to name them.
+_CHECKED = {"str": (str, "a string"), "str | None": ((str, type(None)), "a string"), "bool": (bool, "true or false")}
+
 
 def dump_records(records: Iterable) -> str:
     return "".join(json.dumps({f.name: getattr(r, f.name) for f in fields(r)}, sort_keys=True) + "\n" for r in records)
@@ -24,11 +28,13 @@ def dump_records(records: Iterable) -> str:
 def read_records(path: str | Path, cls: type[R]) -> list[R]:
     """The records of one file, in order.
 
-    A line that is not a JSON object, lacks a required key, or whose record
-    raises ValueError raises ValueError("line N: ...").
+    A line that is not a JSON object, lacks a required key, holds a value
+    of the wrong type in a checked field, or whose record raises ValueError
+    raises ValueError("line N: ...").
     """
     names = {f.name for f in fields(cls)}
     required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+    checked = {f.name: _CHECKED[f.type] for f in fields(cls) if f.type in _CHECKED}
     out = []
     for n, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
         if not line.strip():
@@ -40,6 +46,9 @@ def read_records(path: str | Path, cls: type[R]) -> list[R]:
             missing = [name for name in required if name not in obj]
             if missing:
                 raise ValueError(f"missing key {missing[0]!r}")
+            for name, (types, described) in checked.items():
+                if name in obj and not isinstance(obj[name], types):
+                    raise ValueError(f"{name} must be {described}")
             out.append(cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in obj.items() if k in names}))
         except ValueError as exc:
             raise ValueError(f"line {n}: {exc}") from exc

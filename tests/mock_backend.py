@@ -1,6 +1,9 @@
 """Scripted chat-completions backends for tests: an HTTP mock server and a text stub.
 
-The server's script is an ordered list of responses, one consumed per request:
+The server answers from a script, an ordered list of responses of which each
+request consumes one, or, given ``answer``, by calling ``answer(prompt)`` for
+the response to each request, so that concurrent requests get the same
+answers in any order. A response is one of:
 
 * ``(status, text)``: chat-completions body with ``text`` as the message
   content (empty string means a blank completion);
@@ -16,26 +19,41 @@ By default the server speaks HTTP/1.0, so every reply ends its connection.
 With ``keep_alive`` it speaks HTTP/1.1 and keeps connections open; adding
 ``drop_after_reply`` closes each connection after its reply anyway, without
 announcing it, as a server dropping idle connections does. The server runs
-one thread per connection and counts the connections it accepted.
+one thread per connection; it counts the connections it accepted and the
+most requests it was answering at once.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+from typing import Callable
 
 from ritkit.client import ERROR_UNAVAILABLE, BackendError, CallRecord
 
 
 class MockBackendServer:
-    def __init__(self, script: list[tuple], *, keep_alive: bool = False, drop_after_reply: bool = False):
+    def __init__(
+        self,
+        script: list[tuple] = (),
+        *,
+        answer: Callable[[str], tuple] | None = None,
+        keep_alive: bool = False,
+        drop_after_reply: bool = False,
+    ):
         self.script = list(script)
+        self.answer = answer
         self.requests: list[dict] = []
         self.paths: list[str] = []  # request targets, as sent
         self.request_headers: list[dict[str, str]] = []
         self.connections = 0
+        self.in_flight = 0
+        self.most_in_flight = 0
+        self.lock = threading.Lock()
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -43,17 +61,34 @@ class MockBackendServer:
 
             def setup(self) -> None:
                 super().setup()
-                outer.connections += 1
+                # Headers and body leave in two writes; without this a kept-alive
+                # connection stalls on the client's delayed ACK between them.
+                self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                with outer.lock:
+                    outer.connections += 1
 
             def do_POST(self) -> None:  # noqa: N802 (http.server API)
+                with outer.lock:
+                    outer.in_flight += 1
+                    outer.most_in_flight = max(outer.most_in_flight, outer.in_flight)
+                try:
+                    self._reply()
+                finally:
+                    with outer.lock:
+                        outer.in_flight -= 1
+
+            def _reply(self) -> None:
                 length = int(self.headers.get("Content-Length", 0))
-                outer.paths.append(self.path)
-                outer.request_headers.append(dict(self.headers))
-                outer.requests.append(json.loads(self.rfile.read(length) or b"{}"))
-                if not outer.script:
+                request = json.loads(self.rfile.read(length) or b"{}")
+                with outer.lock:
+                    outer.paths.append(self.path)
+                    outer.request_headers.append(dict(self.headers))
+                    outer.requests.append(request)
+                    scripted = outer.script.pop(0) if outer.script else None
+                entry = scripted if outer.answer is None else outer.answer(request["messages"][0]["content"])
+                if entry is None:
                     status, body = 500, json.dumps({"error": "script exhausted"})
                 else:
-                    entry = outer.script.pop(0)
                     if entry[0] == "slow":
                         time.sleep(entry[1])
                         entry = (200, entry[2])

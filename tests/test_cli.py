@@ -188,9 +188,17 @@ class TestMutateAndEvalCommands:
             ("--manifest", [{**MUTANT, "operator": "XYZ"}], "line 2: 'XYZ' is not a valid FineCategory"),
             ("--replay", ["[1, 2]"], "line 2: not a JSON object"),
             ("--replay", [{"instance_id": "i1", "truth": "SAC"}], "line 2: missing key 'correct'"),
+            ("--manifest", [{"instance_id": {}, "source": "s.rules", "rule_a": "r1", "rule_b": "r2", "fine": "SAC"}],
+             "line 2: instance_id must be a string"),
+            ("--manifest", [MUTANT, {**MUTANT, "mutant_id": ["m2"]}], "line 3: mutant_id must be a string"),
+            ("--replay", [{"instance_id": "a", "truth": {}, "correct": True}], "line 2: truth must be a string"),
+            ("--replay", [{"instance_id": "a", "truth": "SAC", "correct": False, "failure": 5}],
+             "line 2: failure must be a string"),
+            ("--replay", [{"instance_id": "a", "truth": "SAC", "correct": "yes"}], "line 2: correct must be true or false"),
         ],
         ids=["gt-not-an-object", "gt-no-source", "manifest-not-an-object", "manifest-no-output-path",
-             "manifest-bad-operator", "log-not-an-object", "log-no-correct"],
+             "manifest-bad-operator", "log-not-an-object", "log-no-correct", "gt-dict-id", "manifest-list-id",
+             "log-dict-truth", "log-number-failure", "log-string-correct"],
     )
     def test_eval_malformed_record_line_is_named(self, capsys, tmp_path, flag, lines, problem):
         path = tmp_path / "records.jsonl"
@@ -348,6 +356,10 @@ class TestConfig:
             ({"backend": {**BACKEND, "backoff_base": float("nan")}}, "backoff_base must be a number"),
             ({"backend": {**BACKEND, "timeout": float("inf")}}, "timeout must be a number"),
             ({"backend": {**BACKEND, "rate_limit_per_sec": float("inf")}}, "rate_limit_per_sec must be null or a number"),
+            ({"backend": {**BACKEND, "concurrency": True}}, "concurrency must be an integer"),
+            ({"backend": {**BACKEND, "concurrency": 0}}, "concurrency must be >= 1"),
+            ({"backend": {**BACKEND, "concurrency": 2.0}}, "concurrency must be an integer"),
+            ({"backend": {**BACKEND, "concurrency": "4"}}, "concurrency must be an integer"),
         ],
     )
     def test_values_must_have_their_json_type(self, capsys, tmp_path, doc, message):
@@ -523,7 +535,7 @@ class TestBackendPredictorCli:
         with MockBackendServer(script) as server:
             config_path = tmp_path / "config.json"
             config_path.write_text(
-                json.dumps({"backend": {"endpoint": server.endpoint, "model": "m", "timeout": 5.0}}),
+                json.dumps({"backend": {"endpoint": server.endpoint, "model": "m", "timeout": 5.0, "concurrency": 1}}),
                 encoding="utf-8",
             )
             code, out, _ = run_cli(
@@ -556,7 +568,8 @@ class TestBackendPredictorCli:
         script = [(200, first.operator)] + failing + [(200, third.operator)]
         with MockBackendServer(script) as server:
             config_path = tmp_path / "config.json"
-            backend = {"endpoint": server.endpoint, "model": "m", "timeout": 5.0, "max_retries": 4, "backoff_base": 0}
+            backend = {"endpoint": server.endpoint, "model": "m", "timeout": 5.0, "max_retries": 4, "backoff_base": 0,
+                       "concurrency": 1}
             config_path.write_text(json.dumps({"backend": backend}), encoding="utf-8")
             log_path = tmp_path / "log.jsonl"
             code, out, err = run_cli(

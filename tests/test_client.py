@@ -11,6 +11,7 @@ from mock_backend import MockBackendServer, StubBackend
 
 from ritkit.client import (
     BackendError,
+    Connection,
     HttpBackend,
     StubAdjudicator,
     TokenBucket,
@@ -109,13 +110,13 @@ class TestRetrySequences:
         monkeypatch.setenv("RITKIT_API_KEY", "sk-test")
         captured = {}
 
-        class Connection:
+        class RefusingConnection:
             def post(self, body, headers):
                 captured.update(headers)
                 raise ConnectionRefusedError("stop here")
 
         with pytest.raises(BackendError):
-            complete(config("http://example.invalid", max_retries=0), "p", connection=Connection(), sleep=NO_SLEEP)
+            complete(config("http://example.invalid", max_retries=0), "p", connection=RefusingConnection(), sleep=NO_SLEEP)
         assert captured.get("Authorization") == "Bearer sk-test"
 
 
@@ -171,7 +172,7 @@ class TestTransport:
         with MockBackendServer([(200, f"answer {i}") for i in range(5)], keep_alive=True) as server:
             backend = HttpBackend(config(server.endpoint))
             answers = [backend.complete(f"prompt {i}") for i in range(5)]
-            backend.connection.close()
+            backend.close()
         assert answers == [f"answer {i}" for i in range(5)]
         assert server.connections == 1
         assert [r["messages"][0]["content"] for r in server.requests] == [f"prompt {i}" for i in range(5)]
@@ -179,10 +180,10 @@ class TestTransport:
     def test_connection_dropped_while_idle_is_reopened_within_the_attempt(self):
         sleeps: list[float] = []
         with MockBackendServer([(200, "WAC")] * 4, keep_alive=True, drop_after_reply=True) as server:
-            backend = HttpBackend(config(server.endpoint))
-            records = [complete(backend.config, "p", connection=backend.connection, sleep=sleeps.append)[1]
+            connection = Connection(server.endpoint, 5.0)
+            records = [complete(config(server.endpoint), "p", connection=connection, sleep=sleeps.append)[1]
                        for _ in range(4)]
-            backend.connection.close()
+            connection.close()
         assert [[a.error_class for a in r.attempts] for r in records] == [[None]] * 4
         assert sleeps == []
         assert server.connections == 4

@@ -13,7 +13,6 @@ from ritkit.hybrid import (
     DEFAULT_ROUTED_SET,
     ModelAdjudicator,
     SubtaskKind,
-    adjudicate,
     recover_negatives,
     run_pipeline,
     subtasks_for,
@@ -111,7 +110,8 @@ class TestSubtasks:
 class TestAdjudicate:
     def test_accept_all_confirms(self, mixed_report):
         wac = _first(mixed_report, FineCategory.WAC)
-        assert adjudicate(wac, StubAdjudicator("accept-all"), []) is True
+        result = run_pipeline(mixed_report, StubAdjudicator("accept-all"), frozenset({FineCategory.WAC}))
+        assert wac in result.final.findings and result.discarded == ()
 
     def test_overlap_rejection_discards(self, mixed_report):
         # Common-sense call: an 8am cron and a sunset event never coincide.
@@ -134,9 +134,8 @@ class TestAdjudicate:
         assert [r.subtask for r in result.audit if not r.uphold] == ["cascade-safety"]
 
     def test_table_miss_is_an_error(self, mixed_report):
-        wac = _first(mixed_report, FineCategory.WAC)
         with pytest.raises(KeyError):
-            adjudicate(wac, StubAdjudicator("table", table={}), [])
+            run_pipeline(mixed_report, StubAdjudicator("table", table={}), frozenset({FineCategory.WAC}))
 
 
 class TestReconcile:
@@ -218,8 +217,8 @@ class TestBackendOutage:
         with MockBackendServer(script) as server:
             cfg = BackendConfig(server.endpoint, "test-model", timeout=5.0, max_retries=2, backoff_base=0)
             backend = HttpBackend(cfg)
-            result = run_pipeline(report, ModelAdjudicator(backend), frozenset({FineCategory.WAC, FineCategory.STC}))
-            backend.connection.close()
+            result = run_pipeline(report, ModelAdjudicator(backend), frozenset({FineCategory.WAC, FineCategory.STC}), jobs=1)
+            backend.close()
         return result, len(server.requests), cfg.max_retries + 1
 
     @pytest.fixture()
