@@ -23,6 +23,10 @@ EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_FATAL = 2
 
+# Calls that `adjudicate` and `eval --predictor backend` keep in flight to an
+# HTTP backend, each on its own kept-alive connection.
+BACKEND_JOBS = 4
+
 
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -177,7 +181,7 @@ def cmd_adjudicate(args: argparse.Namespace) -> int:
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
     try:
-        return _reconcile(args, config, adjudicator, backend.config.concurrency if backend else 1)
+        return _reconcile(args, config, adjudicator, BACKEND_JOBS if backend else 1)
     finally:
         if backend is not None:
             backend.close()
@@ -308,7 +312,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             return _fail(str(exc))
 
     try:
-        row, logs = run_experiment(config, dataset, predictor, backend.config.concurrency if backend else 1)
+        row, logs = run_experiment(config, dataset, predictor, BACKEND_JOBS if backend else 1)
     finally:
         if backend is not None:
             backend.close()

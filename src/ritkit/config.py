@@ -3,11 +3,10 @@
 Each value must have its JSON type: `strict_event_matching` is `true` or
 `false`, `routed_set` a list of category names and `format` a string. In
 `backend`, `endpoint`, `model` and `api_key_env` are strings,
-`max_output_tokens`, `max_retries` and `concurrency` integers, and the
-other fields numbers; a boolean is not a number, and neither is NaN or an
-infinity. `timeout` must be positive, `concurrency` at least 1 and
-`rate_limit_per_sec` null, 0 (both: no limit) or positive. A violation is a
-`ConfigError`.
+`max_output_tokens` and `max_retries` integers, and the other fields
+numbers; a boolean is not a number, and neither is NaN or an infinity.
+`timeout` must be positive and `rate_limit_per_sec` null, 0 (both: no
+limit) or positive. A violation is a `ConfigError`.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ class BackendConfig:
     max_retries: int = 4
     backoff_base: float = 0.5
     rate_limit_per_sec: float | None = None
-    concurrency: int = 4  # backend calls in flight at once
 
     def __post_init__(self) -> None:
         for name in ("endpoint", "model", "api_key_env"):
@@ -49,7 +47,7 @@ class BackendConfig:
         for name in ("temperature", "top_p", "timeout", "backoff_base"):
             if not _is_number(getattr(self, name)):
                 raise ValueError(f"{name} must be a number")
-        for name in ("max_output_tokens", "max_retries", "concurrency"):
+        for name in ("max_output_tokens", "max_retries"):
             if not _is_number(getattr(self, name), integral=True):
                 raise ValueError(f"{name} must be an integer")
         if self.rate_limit_per_sec is not None and not _is_number(self.rate_limit_per_sec):
@@ -66,8 +64,6 @@ class BackendConfig:
             raise ValueError("max_retries must be >= 0")
         if self.backoff_base < 0:
             raise ValueError("backoff_base must be >= 0")
-        if self.concurrency < 1:
-            raise ValueError("concurrency must be >= 1")
         if self.rate_limit_per_sec is not None and self.rate_limit_per_sec < 0:
             raise ValueError("rate_limit_per_sec must be null, 0 or positive")
 

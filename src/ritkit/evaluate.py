@@ -16,7 +16,8 @@ from typing import Callable, Iterable, TypeVar
 
 from .detector import FineCategory, aggregate
 from .mutate import MutantManifest
-from .prompts import BACKEND_FAILURE, COARSE_LABELS, FINE_LABELS, ParseFailure, ordered_map
+from .ordered import ordered_map
+from .prompts import BACKEND_FAILURE, COARSE_LABELS, FINE_LABELS, ParseFailure
 from .records import read_records
 
 Prediction = tuple[str, ...] | ParseFailure
@@ -251,32 +252,22 @@ def detector_predictor(taxonomy: str = "six", strict: bool = True) -> Predictor:
     return predict
 
 
-def _is_outage(pred: Prediction) -> bool:
-    return isinstance(pred, ParseFailure) and pred.kind.startswith(BACKEND_FAILURE)
-
-
 def backend_predictor(template, backend) -> Predictor:
     """Blind classification through a text backend (hybrid recovery mode).
 
-    Once a call fails as `backend:<error_class>`, every later instance gets the
-    same failure without a call. Each instance file is still read, so a
-    missing one still propagates. Calls may run in several threads at once.
+    A backend that gives up yields the parse failure `backend:<error_class>`;
+    `run_experiment` then makes no further call.
     """
     from .hybrid import recover_negatives
 
-    gave_up: ParseFailure | None = None  # the first backend failure
+    return lambda entry: recover_negatives(Path(entry.source).read_text(encoding="utf-8"), template, backend)
 
-    def predict(entry: GroundTruthEntry) -> Prediction:
-        nonlocal gave_up
-        text = Path(entry.source).read_text(encoding="utf-8")
-        if gave_up is not None:
-            return gave_up
-        pred = recover_negatives(text, template, backend)
-        if _is_outage(pred):
-            gave_up = pred
-        return pred
 
-    return predict
+class _Outage(Exception):
+    """A `backend:<error_class>` prediction, raised to stop new calls."""
+
+    def __init__(self, pred: ParseFailure):
+        self.pred = pred
 
 
 def run_experiment(
@@ -287,30 +278,43 @@ def run_experiment(
 ) -> tuple[MetricsRow, list[InstanceLog]]:
     """Score every instance; the log is sufficient to recompute all metrics.
 
-    Up to `jobs` predictions run at once (see `prompts.ordered_map`); the
-    first backend failure in dataset order stops new ones. A predictor error
-    (say, an unreadable instance file) propagates: a broken corpus must not
-    score as a weak model.
+    Up to `jobs` predictions run at once (see `ordered.ordered_map`). The
+    first `backend:<error_class>` prediction in dataset order stops new ones:
+    every later instance gets that failure without a call, though its file is
+    still read, so a missing one still propagates. A predictor error (say, an
+    unreadable instance file) propagates: a broken corpus must not score as a
+    weak model.
     """
-    logs: list[InstanceLog] = []
-    preds = ordered_map(predictor, dataset, jobs, failed=_is_outage)
+
+    def predict(entry: GroundTruthEntry) -> Prediction:
+        pred = predictor(entry)
+        if isinstance(pred, ParseFailure) and pred.kind.startswith(BACKEND_FAILURE):
+            raise _Outage(pred)
+        return pred
+
+    preds: list[Prediction] = []
     try:
-        for entry in dataset:
-            truth = entry.label(config.taxonomy)
-            pred = next(preds)
-            correct = score_prediction(pred, truth, config)
-            failed = isinstance(pred, ParseFailure)
-            logs.append(
-                InstanceLog(
-                    instance_id=entry.instance_id,
-                    truth=truth,
-                    labels=None if failed else tuple(pred),
-                    failure=pred.kind if failed else None,
-                    correct=correct,
-                )
+        for pred in ordered_map(predict, dataset, jobs):
+            preds.append(pred)
+    except _Outage as outage:
+        for entry in dataset[len(preds) + 1 :]:
+            Path(entry.source).read_text(encoding="utf-8")
+        preds += [outage.pred] * (len(dataset) - len(preds))
+
+    logs: list[InstanceLog] = []
+    for entry, pred in zip(dataset, preds):
+        truth = entry.label(config.taxonomy)
+        correct = score_prediction(pred, truth, config)
+        failed = isinstance(pred, ParseFailure)
+        logs.append(
+            InstanceLog(
+                instance_id=entry.instance_id,
+                truth=truth,
+                labels=None if failed else tuple(pred),
+                failure=pred.kind if failed else None,
+                correct=correct,
             )
-    finally:
-        preds.close()
+        )
     return metrics_from_logs(logs), logs
 
 

@@ -18,15 +18,8 @@ from typing import Protocol
 
 from .client import AdjudicatorUnavailable, BackendError
 from .detector import CoarseCategory, FineCategory, Finding, FindingReport, finding_key
-from .prompts import (
-    BACKEND_FAILURE,
-    ParseFailure,
-    PromptTemplate,
-    build_prompt,
-    ordered_map,
-    parse_model_response,
-    scan_labels,
-)
+from .ordered import ordered_map
+from .prompts import BACKEND_FAILURE, ParseFailure, PromptTemplate, build_prompt, parse_model_response, scan_labels
 
 DEFAULT_ROUTED_SET = frozenset({FineCategory.WAC, FineCategory.WTC})
 
@@ -136,7 +129,7 @@ def run_pipeline(
 ) -> ReconciledReport:
     """Keep, discard or fail open each finding of one detector report, in order.
 
-    Up to `jobs` subtasks are asked at once (see `prompts.ordered_map`), and
+    Up to `jobs` subtasks are asked at once (see `ordered.ordered_map`), and
     their answers are read in report order.
     """
     asks = [
@@ -145,19 +138,18 @@ def run_pipeline(
         if finding.category in routed_set
         for subtask in subtasks_for(finding)
     ]
-    answers = ordered_map(lambda ask: adjudicator.answer_subtask(ask[1], ask[2].kind.value, ask[2].payload), asks, jobs)
     audit: list[AuditRecord] = []
     upheld: dict[int, bool] = {}  # finding index -> every answer so far upholds it
     gave_up_at = len(report.findings)  # routed findings from this index on fail open
     try:
-        for i, key, subtask in asks:
-            ok, raw = next(answers)
+        answers = ordered_map(
+            lambda ask: adjudicator.answer_subtask(ask[1], ask[2].kind.value, ask[2].payload), asks, jobs
+        )
+        for (ok, raw), (i, key, subtask) in zip(answers, asks):
             audit.append(AuditRecord(key, subtask.kind.value, raw, ok))
             upheld[i] = upheld.get(i, True) and ok
     except AdjudicatorUnavailable:
-        gave_up_at = i
-    finally:
-        answers.close()
+        gave_up_at = asks[len(audit)][0]
 
     kept: list[Finding] = []
     discarded: list[Finding] = []

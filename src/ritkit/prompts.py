@@ -1,23 +1,16 @@
-"""Prompt assembly, model-response label extraction and model calls in order.
+"""Prompt assembly and model-response label extraction.
 
 Prompts are built byte-deterministically from text assets: a fixed
 preamble, per-category definition blocks with zero, one or two embedded
 examples, an output-format section and the ruleset under analysis.
-`ordered_map` runs the calls of a run several at once and hands back their
-answers in input order; the adjudication and evaluation pipelines share it.
 """
 
 from __future__ import annotations
 
 import re
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Callable, Iterable, Iterator, TypeVar
-
-T = TypeVar("T")
-U = TypeVar("U")
 
 FINE_LABELS = ("WAC", "SAC", "WTC", "STC", "WCC", "SCC")
 COARSE_LABELS = ("AC", "TC", "CC")
@@ -163,90 +156,3 @@ def parse_model_response(
 ) -> tuple[str, ...] | ParseFailure:
     """Extract RIT acronyms of the taxonomy from a model response."""
     return scan_labels(text, FINE_LABELS if taxonomy == "six" else COARSE_LABELS, multi_allowed)
-
-
-# ---------------------------------------------------------------------------
-# Model calls, several at once
-
-
-def ordered_map(
-    fn: Callable[[T], U], items: Iterable[T], jobs: int = 1, failed: Callable[[U], bool] = lambda result: False
-) -> Iterator[U]:
-    """Yield `fn(item)` for each item, in input order, with up to `jobs` calls at once.
-
-    The calling thread and `jobs - 1` helper threads each start the earliest
-    item that has not started; with `jobs` 1 no thread starts. The helpers
-    start only once the first call has returned, so that call goes out
-    alone. Results wait, in memory, for their turn. A call fails when it raises or `failed` accepts its result, and after that
-    no new call starts. The first failure in input order is yielded (or
-    raised) in its turn; every later item is then run again, one at a time
-    in the calling thread, so what other calls returned after that point is
-    dropped. Closing the generator waits for the calls still running.
-    """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    items = list(items)
-    cond = threading.Condition()
-    outcomes: dict[int, tuple] = {}  # index -> (result, exception, failed)
-    started = 0  # items[:started] have started
-    stopped = False  # a call failed, or the caller is done
-    helpers: list[threading.Thread] = []
-
-    def start() -> int | None:  # with `cond` held
-        nonlocal started
-        if stopped or started == len(items):
-            return None
-        started += 1
-        return started - 1
-
-    def run(i: int) -> None:
-        nonlocal stopped
-        try:
-            result = fn(items[i])
-            outcome = (result, None, failed(result))
-        except BaseException as exc:  # re-raised in the calling thread, in its turn
-            outcome = (None, exc, True)
-        with cond:
-            outcomes[i] = outcome
-            stopped = stopped or outcome[2]
-            cond.notify_all()
-
-    def help_out() -> None:
-        while True:
-            with cond:
-                i = start()
-            if i is None:
-                return
-            run(i)
-
-    def stop() -> None:
-        nonlocal stopped
-        with cond:
-            stopped = True
-        for helper in helpers:
-            helper.join()
-
-    try:
-        for position in range(len(items)):
-            while True:
-                with cond:
-                    i = None if position in outcomes else start()
-                    if i is None:
-                        cond.wait_for(lambda: position in outcomes)
-                        result, exc, bad = outcomes.pop(position)
-                        break
-                run(i)
-            if exc is not None:
-                raise exc
-            if position == 0:
-                helpers.extend(threading.Thread(target=help_out, daemon=True) for _ in range(min(jobs, len(items)) - 1))
-                for helper in helpers:
-                    helper.start()
-            yield result
-            if bad:
-                break
-        stop()
-        for item in items[position + 1 :]:
-            yield fn(item)
-    finally:
-        stop()

@@ -356,10 +356,6 @@ class TestConfig:
             ({"backend": {**BACKEND, "backoff_base": float("nan")}}, "backoff_base must be a number"),
             ({"backend": {**BACKEND, "timeout": float("inf")}}, "timeout must be a number"),
             ({"backend": {**BACKEND, "rate_limit_per_sec": float("inf")}}, "rate_limit_per_sec must be null or a number"),
-            ({"backend": {**BACKEND, "concurrency": True}}, "concurrency must be an integer"),
-            ({"backend": {**BACKEND, "concurrency": 0}}, "concurrency must be >= 1"),
-            ({"backend": {**BACKEND, "concurrency": 2.0}}, "concurrency must be an integer"),
-            ({"backend": {**BACKEND, "concurrency": "4"}}, "concurrency must be an integer"),
         ],
     )
     def test_values_must_have_their_json_type(self, capsys, tmp_path, doc, message):
@@ -525,6 +521,11 @@ class TestFailOpenCli:
 
 
 class TestBackendPredictorCli:
+    @pytest.fixture(autouse=True)
+    def one_call_at_a_time(self, monkeypatch):
+        """The mocks answer in script order, so the calls go out one at a time."""
+        monkeypatch.setattr("ritkit.cli.BACKEND_JOBS", 1)
+
     def test_eval_with_mock_backend(self, capsys, tmp_path):
         from mock_backend import MockBackendServer
         from ritkit.mutate import Exhaustive, Seed, bundled_seed_paths, generate_corpus
@@ -535,7 +536,7 @@ class TestBackendPredictorCli:
         with MockBackendServer(script) as server:
             config_path = tmp_path / "config.json"
             config_path.write_text(
-                json.dumps({"backend": {"endpoint": server.endpoint, "model": "m", "timeout": 5.0, "concurrency": 1}}),
+                json.dumps({"backend": {"endpoint": server.endpoint, "model": "m", "timeout": 5.0}}),
                 encoding="utf-8",
             )
             code, out, _ = run_cli(
@@ -568,8 +569,7 @@ class TestBackendPredictorCli:
         script = [(200, first.operator)] + failing + [(200, third.operator)]
         with MockBackendServer(script) as server:
             config_path = tmp_path / "config.json"
-            backend = {"endpoint": server.endpoint, "model": "m", "timeout": 5.0, "max_retries": 4, "backoff_base": 0,
-                       "concurrency": 1}
+            backend = {"endpoint": server.endpoint, "model": "m", "timeout": 5.0, "max_retries": 4, "backoff_base": 0}
             config_path.write_text(json.dumps({"backend": backend}), encoding="utf-8")
             log_path = tmp_path / "log.jsonl"
             code, out, err = run_cli(

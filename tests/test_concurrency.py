@@ -21,8 +21,10 @@ from mock_backend import MockBackendServer
 from ritkit.cli import main
 from ritkit.client import TokenBucket
 from ritkit.detector import finding_key
+from ritkit.evaluate import ExperimentConfig, GroundTruthEntry, run_experiment
 from ritkit.hybrid import DEFAULT_ROUTED_SET, subtasks_for
-from ritkit.prompts import FINE_LABELS, ordered_map
+from ritkit.ordered import ordered_map
+from ritkit.prompts import FINE_LABELS, ParseFailure
 from ritkit.report import parse_structured
 
 MAX_RETRIES = 1  # two attempts per call
@@ -65,13 +67,13 @@ def inputs(tmp_path_factory):
     return {"report": report, "manifest": corpus / "manifest.jsonl"}
 
 
-def run(capsys, tmp_path, server, command: str, inputs: dict, concurrency: int) -> dict:
-    """Exit code, stdout, stderr and log bytes of one CLI run against `server`."""
-    config = tmp_path / f"config{concurrency}.json"
-    backend = {"endpoint": server.endpoint, "model": "m", "timeout": 5.0, "max_retries": MAX_RETRIES,
-               "backoff_base": 0, "concurrency": concurrency}
+def run(capsys, monkeypatch, tmp_path, server, command: str, inputs: dict, jobs: int) -> dict:
+    """Exit code, stdout, stderr and log bytes of one CLI run against `server`, `jobs` calls at once."""
+    monkeypatch.setattr("ritkit.cli.BACKEND_JOBS", jobs)
+    config = tmp_path / "config.json"
+    backend = {"endpoint": server.endpoint, "model": "m", "timeout": 5.0, "max_retries": MAX_RETRIES, "backoff_base": 0}
     config.write_text(json.dumps({"backend": backend}), encoding="utf-8")
-    log = tmp_path / f"log{concurrency}.jsonl"
+    log = tmp_path / f"log{jobs}.jsonl"
     if command == "adjudicate":
         argv = ["adjudicate", str(inputs["report"]), "--format", "structured", "--audit-log", str(log)]
     else:
@@ -94,13 +96,13 @@ def asks(report_path) -> list[tuple[int, str]]:
 
 
 @pytest.mark.parametrize("command", ["adjudicate", "eval"])
-def test_outputs_do_not_depend_on_concurrency(capsys, tmp_path, inputs, command):
+def test_outputs_do_not_depend_on_concurrency(capsys, monkeypatch, tmp_path, inputs, command):
     runs = {}
-    for concurrency in (1, 4):
+    for jobs in (1, 4):
         with MockBackendServer(answer=answer, keep_alive=True) as server:
-            runs[concurrency] = run(capsys, tmp_path, server, command, inputs, concurrency)
-        runs[concurrency]["most_in_flight"] = server.most_in_flight
-        runs[concurrency]["connections"] = server.connections
+            runs[jobs] = run(capsys, monkeypatch, tmp_path, server, command, inputs, jobs)
+        runs[jobs]["most_in_flight"] = server.most_in_flight
+        runs[jobs]["connections"] = server.connections
     one, four = runs[1], runs[4]
     assert (one["most_in_flight"], one["connections"]) == (1, 1)
     assert 1 < four["most_in_flight"] <= 4 and four["connections"] <= 4
@@ -109,9 +111,9 @@ def test_outputs_do_not_depend_on_concurrency(capsys, tmp_path, inputs, command)
 
 
 @pytest.mark.parametrize("command", ["adjudicate", "eval"])
-def test_a_backend_down_throughout_gets_one_failing_call(capsys, tmp_path, inputs, command):
+def test_a_backend_down_throughout_gets_one_failing_call(capsys, monkeypatch, tmp_path, inputs, command):
     with MockBackendServer(answer=lambda prompt: (503, None), keep_alive=True) as server:
-        result = run(capsys, tmp_path, server, command, inputs, 4)
+        result = run(capsys, monkeypatch, tmp_path, server, command, inputs, 4)
     assert len(server.requests) == MAX_RETRIES + 1
     assert result["code"] == 0
     warnings = result["err"].splitlines()
@@ -124,13 +126,12 @@ def test_a_backend_down_throughout_gets_one_failing_call(capsys, tmp_path, input
         assert len(warnings) == 12
 
 
-def test_adjudication_gives_up_at_the_first_failure_in_report_order(capsys, tmp_path, inputs):
+def test_adjudication_gives_up_at_the_first_failure_in_report_order(capsys, monkeypatch, tmp_path, inputs):
     k = 12
-    (tmp_path / "ok").mkdir()
     with MockBackendServer(answer=answer, keep_alive=True) as server:
-        healthy = run(capsys, tmp_path / "ok", server, "adjudicate", inputs, 1)
+        healthy = run(capsys, monkeypatch, tmp_path, server, "adjudicate", inputs, 1)
     with MockBackendServer(answer=failing_after(k), keep_alive=True) as server:
-        result = run(capsys, tmp_path, server, "adjudicate", inputs, 4)
+        result = run(capsys, monkeypatch, tmp_path, server, "adjudicate", inputs, 4)
     assert len(server.requests) <= k + 4 * (MAX_RETRIES + 1)  # at most one failing call per connection
     assert result["code"] == 0
     # The audit log is the healthy one cut at the give-up point: no answer after it is on record.
@@ -147,13 +148,12 @@ def test_adjudication_gives_up_at_the_first_failure_in_report_order(capsys, tmp_
     assert len(doc["discarded"]) == len(rejected)
 
 
-def test_evaluation_gives_up_at_the_first_failure_in_dataset_order(capsys, tmp_path, inputs):
+def test_evaluation_gives_up_at_the_first_failure_in_dataset_order(capsys, monkeypatch, tmp_path, inputs):
     k = 5
-    (tmp_path / "ok").mkdir()
     with MockBackendServer(answer=answer, keep_alive=True) as server:
-        healthy = run(capsys, tmp_path / "ok", server, "eval", inputs, 1)
+        healthy = run(capsys, monkeypatch, tmp_path, server, "eval", inputs, 1)
     with MockBackendServer(answer=failing_after(k), keep_alive=True) as server:
-        result = run(capsys, tmp_path, server, "eval", inputs, 4)
+        result = run(capsys, monkeypatch, tmp_path, server, "eval", inputs, 4)
     assert len(server.requests) <= k + 4 * (MAX_RETRIES + 1)
     assert result["code"] == 0
     logs = [json.loads(line) for line in result["log"].splitlines()]
@@ -236,33 +236,91 @@ class TestOrderedMap:
         assert results == [0, 1]
         assert sorted(started) == [0, 1, 2]
 
-    def test_items_after_the_first_failure_run_again_in_the_calling_thread(self):
-        calls: list[tuple[int, int]] = []
-
-        def fn(item: int) -> str:
-            calls.append((item, threading.get_ident()))
-            self.slow_square(item)
-            return "bad" if item >= 3 else "ok"
-
-        results = list(ordered_map(fn, range(10), 4, failed=lambda result: result == "bad"))
-        assert results == ["ok"] * 3 + ["bad"] * 7
-        last_call = dict(calls)
-        assert all(last_call[item] == threading.get_ident() for item in range(4, 10))
-
-    def test_a_closed_run_waits_for_its_calls(self):
-        finished: list[int] = []
+    def test_the_first_failure_in_input_order_is_raised(self):
+        later_failed = threading.Event()
 
         def fn(item: int) -> int:
-            self.slow_square(item)
-            finished.append(item)
+            if item == 3:
+                later_failed.set()
+                raise RuntimeError("later")
+            if item == 2:  # fails after item 3, in time
+                later_failed.wait(timeout=10)
+                raise RuntimeError("first in order")
             return item
 
-        results = ordered_map(fn, range(20), 4)
+        results = []
+        with pytest.raises(RuntimeError, match="first in order"):
+            for result in ordered_map(fn, range(10), 4):
+                results.append(result)
+        assert results == [0, 1]
+
+    def test_an_empty_input_yields_nothing(self):
+        assert list(ordered_map(lambda item: item, [], 4)) == []
+
+    def test_closing_early_starts_no_new_call(self):
+        started: list[int] = []
+
+        def fn(item: int) -> int:
+            started.append(item)
+            self.slow_square(item)
+            return item
+
+        results = ordered_map(fn, range(50), 4)
         assert next(results) == 0 and next(results) == 1
         results.close()
-        settled = list(finished)
+        time.sleep(0.05)  # time for the calls still running to end
+        settled = list(started)
         time.sleep(0.02)
-        assert finished == settled
+        assert started == settled and len(settled) < 50
+
+    def test_an_interrupt_in_the_calling_thread_does_not_wait_for_the_helpers(self):
+        helper_busy, release = threading.Event(), threading.Event()
+
+        def fn(item: int) -> int:
+            if item == 1:  # taken by the helper
+                helper_busy.set()
+                release.wait(timeout=10)
+            if item == 2:  # taken by the calling thread
+                raise KeyboardInterrupt
+            return item
+
+        before = threading.active_count()
+        results = ordered_map(fn, range(3), 2)
+        assert next(results) == 0
+        assert helper_busy.wait(timeout=10)
+        start = time.monotonic()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                next(results)
+            assert time.monotonic() - start < 5  # neither item 1's result nor the helper waited for
+        finally:
+            release.set()
+        deadline = time.monotonic() + 10
+        while threading.active_count() > before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() == before  # the helper ends once its call returns
+
+
+def test_an_earlier_instance_still_running_keeps_its_own_answer(tmp_path):
+    """A later instance's outage, first in time, does not stand in for an earlier call."""
+    dataset = []
+    for i in range(4):
+        path = tmp_path / f"i{i}.rules"
+        path.write_text("", encoding="utf-8")
+        dataset.append(GroundTruthEntry(f"i{i}", str(path), "r1", "r2", "SAC"))
+    outage = threading.Event()
+
+    def predict(entry: GroundTruthEntry):
+        if entry.instance_id == "i2":
+            outage.set()
+            return ParseFailure("backend:unavailable", "")
+        if entry.instance_id == "i1":  # still running when i2 fails
+            outage.wait(timeout=10)
+            time.sleep(0.05)
+        return ("SAC",)
+
+    _, logs = run_experiment(ExperimentConfig(), dataset, predict, jobs=3)
+    assert [log.failure for log in logs] == [None, None, "backend:unavailable", "backend:unavailable"]
 
 
 def test_a_shared_token_bucket_never_exceeds_its_rate():

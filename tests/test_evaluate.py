@@ -229,11 +229,11 @@ class TestBackendPredictorGivesUp:
         assert [log.failure for log in logs[1:]] == ["backend:unavailable"] * (len(dataset) - 1)
 
     def test_missing_instance_file_still_raises_after_an_outage(self, dataset):
-        predict = backend_predictor(PromptTemplate(), StubBackend())
-        assert isinstance(predict(dataset[0]), ParseFailure)
-        Path(dataset[1].source).unlink()
+        backend = StubBackend()  # every call fails as unavailable
+        Path(dataset[2].source).unlink()
         with pytest.raises(FileNotFoundError):
-            predict(dataset[1])
+            run_experiment(MULTI, dataset, backend_predictor(PromptTemplate(), backend))
+        assert len(backend.calls) == 1
 
 
 class TestScoringProperties:
