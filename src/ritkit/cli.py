@@ -117,6 +117,8 @@ def cmd_mutate(args: argparse.Namespace) -> int:
     if args.strategy == "sample":
         if args.sample_n is None or args.rng_seed is None:
             return _fail("--strategy sample requires --sample-n and --rng-seed")
+        if args.sample_n < 0:
+            return _fail(f"--sample-n must be >= 0, not {args.sample_n}")
         strategy = Sample(args.sample_n, args.rng_seed)
     else:
         strategy = Exhaustive()
@@ -277,6 +279,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             logs = read_records(args.replay, InstanceLog)
         except (OSError, ValueError) as exc:
             return _fail(f"cannot load replay log {args.replay}: {exc}")
+        if not logs:
+            return _fail("replay log is empty")
         row = metrics_from_logs(logs)
         print(render_metrics_table(row, config.labels, name="replay"))
         return EXIT_CLEAN

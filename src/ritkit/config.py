@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from .detector import FineCategory
 
@@ -27,8 +27,7 @@ def _is_number(value: object, integral: bool = False) -> bool:
     return isinstance(value, int if integral else (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
-@dataclass(frozen=True)
-class BackendConfig:
+class _BackendFields(NamedTuple):
     endpoint: str
     model: str
     api_key_env: str = "RITKIT_API_KEY"
@@ -40,7 +39,14 @@ class BackendConfig:
     backoff_base: float = 0.5
     rate_limit_per_sec: float | None = None
 
-    def __post_init__(self) -> None:
+
+class BackendConfig(_BackendFields):
+    """The backend fields, checked when built: a bad value is a ValueError."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: object, **kwargs: object) -> BackendConfig:
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("endpoint", "model", "api_key_env"):
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a string")
@@ -66,16 +72,23 @@ class BackendConfig:
             raise ValueError("backoff_base must be >= 0")
         if self.rate_limit_per_sec is not None and self.rate_limit_per_sec < 0:
             raise ValueError("rate_limit_per_sec must be null, 0 or positive")
+        return self
 
 
-@dataclass(frozen=True)
-class ToolConfig:
+class _ToolFields(NamedTuple):
     strict_event_matching: bool = True
     routed_set: tuple[str, ...] = ("WAC", "WTC")
     backend: BackendConfig | None = None
     format: str = "text"  # "text" | "structured"
 
-    def __post_init__(self) -> None:
+
+class ToolConfig(_ToolFields):
+    """The tool fields, checked when built: a bad value is a ConfigError."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: object, **kwargs: object) -> ToolConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if not isinstance(self.strict_event_matching, bool):
             raise ConfigError("strict_event_matching must be true or false")
         for name in self.routed_set:
@@ -85,10 +98,11 @@ class ToolConfig:
                 raise ConfigError(f"unknown category in routed_set: {name!r}") from None
         if self.format not in ("text", "structured"):
             raise ConfigError("format must be 'text' or 'structured'")
+        return self
 
 
-_TOOL_KEYS = {f.name for f in fields(ToolConfig)}
-_BACKEND_KEYS = {f.name for f in fields(BackendConfig)}
+_TOOL_KEYS = set(ToolConfig._fields)
+_BACKEND_KEYS = set(BackendConfig._fields)
 
 
 def load_config(path: str | Path) -> ToolConfig:
@@ -111,9 +125,12 @@ def load_config(path: str | Path) -> ToolConfig:
         bad = set(raw) - _BACKEND_KEYS
         if bad:
             raise ConfigError(f"unknown backend keys: {', '.join(sorted(bad))}")
+        missing = [name for name in ("endpoint", "model") if name not in raw]
+        if missing:
+            raise ConfigError(f"bad backend config: missing {' and '.join(missing)}")
         try:
             backend = BackendConfig(**raw)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"bad backend config: {exc}") from exc
 
     kwargs = {k: v for k, v in data.items() if k != "backend"}

@@ -28,9 +28,8 @@ are always merged with its rule's when-clause conditions.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .ir import (
     Action,
@@ -106,27 +105,23 @@ def aggregate(fine: FineCategory) -> CoarseCategory:
     return _COARSE[fine]
 
 
-@dataclass(frozen=True)
-class DetectorConfig:
+class DetectorConfig(NamedTuple):
     strict_event_matching: bool = True
 
 
-@dataclass(frozen=True)
-class EvidenceRef:
+class EvidenceRef(NamedTuple):
     """An IR node id plus its source-style rendering, for reports."""
 
     id: str
     text: str
 
 
-@dataclass(frozen=True)
-class RuleRef:
+class RuleRef(NamedTuple):
     id: str
     name: str
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     category: FineCategory
     rule_a: RuleRef
     rule_b: RuleRef
@@ -151,17 +146,17 @@ def finding_key(f: Finding) -> str:
     return f"{f.category.value}:{f.rule_a.id}:{f.rule_b.id}:{f.threat_pair[0]}:{f.threat_pair[1]}"
 
 
-@dataclass(frozen=True)
-class FindingReport:
+class FindingReport(NamedTuple):
     file: str
     findings: tuple[Finding, ...]
-    counts: dict[str, int] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
+    @property
+    def counts(self) -> dict[str, int]:
+        """Findings per fine category, in `CATEGORY_ORDER`."""
         counts = {cat.value: 0 for cat in CATEGORY_ORDER}
         for f in self.findings:
             counts[f.category.value] += 1
-        object.__setattr__(self, "counts", counts)
+        return counts
 
     @property
     def total(self) -> int:
@@ -220,7 +215,7 @@ def detect_pair(a: Rule, b: Rule, config: DetectorConfig = DetectorConfig()) -> 
     if a.id == b.id:
         raise ValueError("detect_pair requires two distinct rules")
     overlaps = [
-        (i, j) for i, ta in enumerate(a.triggers) for j, tb in enumerate(b.triggers) if triggers_overlap(ta, tb).overlap
+        (i, j) for i, ta in enumerate(a.triggers) for j, tb in enumerate(b.triggers) if triggers_overlap(ta, tb)
     ]
     forward = _Direction(a, b, overlaps)
     backward = _Direction(b, a, sorted((j, i) for i, j in overlaps))

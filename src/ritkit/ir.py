@@ -1,17 +1,16 @@
 """Normalized rule IR: values, triggers, conditions, actions and rulesets.
 
-Everything here is immutable. Ids follow the ``rN`` / ``rNtM`` / ``rNcM`` /
-``rNaM`` scheme where ``N`` is the 1-based rule position in file order and
-``M`` restarts at 1 inside each rule.
+Every record is an immutable `NamedTuple`. Ids follow the ``rN`` / ``rNtM``
+/ ``rNcM`` / ``rNaM`` scheme where ``N`` is the 1-based rule position in
+file order and ``M`` restarts at 1 inside each rule.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from enum import Enum
-from functools import cached_property
+from typing import NamedTuple
 
 
 class ValueKind(Enum):
@@ -30,8 +29,7 @@ _OPEN_CLOSED = {"OPEN": "OPEN", "CLOSED": "CLOSED", "CLOSE": "CLOSED"}
 _UP_DOWN = {"UP": "UP", "DOWN": "DOWN"}
 
 
-@dataclass(frozen=True)
-class Value:
+class Value(NamedTuple):
     """A command/state value in canonical form.
 
     ``raw`` keeps the source lexeme (quotes included for string literals) so
@@ -87,8 +85,7 @@ class TriggerKind(Enum):
     STATE_COMPARISON = "state-comparison"
 
 
-@dataclass(frozen=True)
-class CronSpec:
+class CronSpec(NamedTuple):
     """A quartz-style cron expression, split into whitespace fields."""
 
     raw: str
@@ -108,8 +105,7 @@ class CronSpec:
         return None
 
 
-@dataclass(frozen=True)
-class Trigger:
+class Trigger(NamedTuple):
     id: str
     kind: TriggerKind
     item: str | None = None
@@ -130,8 +126,7 @@ DAY_START = 0
 DAY_END = 23 * 60 + 59
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(NamedTuple):
     id: str
     kind: ConditionKind
     item: str | None = None
@@ -145,22 +140,19 @@ class ActionKind(Enum):
     POST_UPDATE = "post-update"
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     id: str
     kind: ActionKind
     item: str
     value: Value
 
 
-@dataclass(frozen=True)
-class GuardedAction:
+class GuardedAction(NamedTuple):
     action: Action
     guards: tuple[Condition, ...] = ()
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     id: str
     name: str
     triggers: tuple[Trigger, ...]
@@ -169,15 +161,11 @@ class Rule:
     span: tuple[int, int] = (0, 0)  # character offsets of the block in its file, end exclusive
 
     @property
-    def index(self) -> int:
+    def index(self) -> int:  # hides tuple.index
         return int(self.id[1:])
 
     def all_conditions(self) -> tuple[Condition, ...]:
         """Rule-level conditions plus every distinct action guard, in order."""
-        return self._all_conditions
-
-    @cached_property
-    def _all_conditions(self) -> tuple[Condition, ...]:
         seen: dict[str, Condition] = {}
         for cond in self.conditions:
             seen.setdefault(cond.id, cond)
@@ -192,8 +180,7 @@ def effective_guards(rule: Rule, ga: GuardedAction) -> tuple[Condition, ...]:
     return rule.conditions + ga.guards
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # "error" | "warning"
     code: str
     message: str
@@ -201,8 +188,7 @@ class Diagnostic:
     col: int = 1
 
 
-@dataclass(frozen=True)
-class RuleSet:
+class RuleSet(NamedTuple):
     file_id: str
     rules: tuple[Rule, ...] = ()
     diagnostics: tuple[Diagnostic, ...] = ()

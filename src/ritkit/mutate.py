@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable, Iterable
@@ -74,7 +74,11 @@ class Seed:
 
     @staticmethod
     def load(path: str | Path) -> "Seed":
-        return Seed.from_text(Path(path).read_text(encoding="utf-8"), str(path))
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise MutationError(f"cannot read {path}: {exc}") from exc
+        return Seed.from_text(text, str(path))
 
     @staticmethod
     def from_text(text: str, path: str = "<seed>") -> "Seed":
@@ -198,8 +202,7 @@ def _all_item_names(rs: RuleSet) -> set[str]:
 
 
 def _strip_conditions(rule: Rule) -> Rule:
-    return replace(
-        rule,
+    return rule._replace(
         conditions=(),
         guarded_actions=tuple(GuardedAction(ga.action, ()) for ga in rule.guarded_actions),
     )
@@ -207,13 +210,13 @@ def _strip_conditions(rule: Rule) -> Rule:
 
 def _align_triggers(a: Rule, b: Rule) -> Rule:
     """Give b a trigger provably overlapping a's when none overlaps."""
-    if any(triggers_overlap(ta, tb).overlap for ta in a.triggers for tb in b.triggers):
+    if any(triggers_overlap(ta, tb) for ta in a.triggers for tb in b.triggers):
         return b
-    return replace(b, triggers=(a.triggers[0],))
+    return b._replace(triggers=(a.triggers[0],))
 
 
 def _set_first_action(rule: Rule, action: Action, guards: tuple[Condition, ...]) -> Rule:
-    return replace(rule, guarded_actions=(GuardedAction(action, guards),) + rule.guarded_actions[1:])
+    return rule._replace(guarded_actions=(GuardedAction(action, guards),) + rule.guarded_actions[1:])
 
 
 def _on_guard(item: str) -> Condition:
@@ -259,7 +262,7 @@ def _action_contradiction(ctx: TransformContext, a: Rule, b: Rule, weak: bool) -
         injected["condition_added"] = f"{guard.item} == ON"
     else:
         a, b, guards = _strip_conditions(a), _strip_conditions(b), ()
-    new_a = _set_first_action(a, replace(x, item=item), a.guarded_actions[0].guards)
+    new_a = _set_first_action(a, x._replace(item=item), a.guarded_actions[0].guards)
     new_b = _set_first_action(b, _new_action(ActionKind.SEND_COMMAND, item, counter), guards)
     return new_a, _align_triggers(new_a, new_b), injected
 
@@ -285,7 +288,7 @@ def transform_stc(ctx: TransformContext, a: Rule, b: Rule) -> tuple[Rule, Rule, 
     action, injected = _cascade_action(ctx, a)
     trigger = Trigger("t0", TriggerKind.ITEM_COMMAND, item=action.item, command_value=action.value)
     new_a = _strip_conditions(_set_first_action(a, action, ()))
-    new_b = _strip_conditions(replace(b, triggers=(trigger,)))
+    new_b = _strip_conditions(b._replace(triggers=(trigger,)))
     return new_a, new_b, injected
 
 
@@ -300,14 +303,13 @@ def transform_wtc(ctx: TransformContext, a: Rule, b: Rule) -> tuple[Rule, Rule, 
     window = next((c.window for c in guards_x if c.kind is ConditionKind.TIME_WINDOW), DEFAULT_WINDOW)
     tw = Condition("c0", ConditionKind.TIME_WINDOW, window=window)
     new_a = _set_first_action(a, action, a.guarded_actions[0].guards)
-    new_b = replace(b, triggers=(trigger,))
+    new_b = b._replace(triggers=(trigger,))
     if new_b.guarded_actions:
-        new_b = replace(
-            new_b,
+        new_b = new_b._replace(
             guarded_actions=tuple(GuardedAction(ga.action, ga.guards + (tw,)) for ga in new_b.guarded_actions),
         )
     else:
-        new_b = replace(new_b, conditions=new_b.conditions + (tw,))
+        new_b = new_b._replace(conditions=new_b.conditions + (tw,))
     injected["condition_added"] = f"time window {window[0] // 60:02d}:{window[0] % 60:02d}-{window[1] // 60:02d}:{window[1] % 60:02d}"
     return new_a, new_b, injected
 
@@ -317,11 +319,11 @@ def _pick_enablable_guard(ctx: TransformContext, a: Rule, b: Rule, y: GuardedAct
     for cond in y.guards:
         if cond.kind is ConditionKind.ITEM_COMPARISON:
             item = ctx.cascade_item(cond.item)
-            cond = replace(cond, item=item) if item != cond.item else cond
+            cond = cond._replace(item=item) if item != cond.item else cond
             value = _enabler_value(cond, vocab)
             if value is not None:
                 return cond, value
-            return replace(cond, op="=="), cond.value
+            return cond._replace(op="=="), cond.value
     cond = _on_guard(ctx.guard_item(a, b, avoid=set()))
     return cond, cond.value
 
@@ -347,7 +349,7 @@ def _condition_cascade(ctx: TransformContext, a: Rule, b: Rule, weak: bool) -> t
     cond, value = _pick_enablable_guard(ctx, a, b, y)
     enabler = GuardedAction(_new_action(ActionKind.SEND_COMMAND, cond.item, value), ())
     enabler = _ensure_rule_a_condition(ctx, a, enabler, avoid={cond.item})
-    new_a = replace(a, guarded_actions=a.guarded_actions + (enabler,))
+    new_a = a._replace(guarded_actions=a.guarded_actions + (enabler,))
     injected = {
         "item": cond.item,
         "value": value.text,
@@ -357,10 +359,10 @@ def _condition_cascade(ctx: TransformContext, a: Rule, b: Rule, weak: bool) -> t
         guards = (cond, Condition("c0", ConditionKind.TIME_WINDOW, window=DEFAULT_WINDOW))
         injected["blocker"] = "time window"
     else:
-        guards, b = (cond,), replace(b, conditions=())
+        guards, b = (cond,), b._replace(conditions=())
     gas = list(b.guarded_actions)
     gas[yi] = GuardedAction(y.action, guards)
-    new_b = replace(b, guarded_actions=tuple(gas))
+    new_b = b._replace(guarded_actions=tuple(gas))
     return new_a, _align_triggers(new_a, new_b), injected
 
 
@@ -461,11 +463,11 @@ def _mutant_rules(seed: Seed, blocks: dict[str, str]) -> tuple[Rule, ...]:
         start, end = rule.span
         block = blocks.get(rule.id)
         if block is None:
-            rules.append(replace(rule, span=(start + shift, end + shift)) if shift else rule)
+            rules.append(rule._replace(span=(start + shift, end + shift)) if shift else rule)
             continue
         parsed = _parse_block(block, rule.id)
         offset = start + shift
-        rules.append(replace(parsed, span=(parsed.span[0] + offset, parsed.span[1] + offset)))
+        rules.append(parsed._replace(span=(parsed.span[0] + offset, parsed.span[1] + offset)))
         shift += len(block) - (end - start)
     return tuple(rules)
 

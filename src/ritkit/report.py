@@ -6,7 +6,6 @@ import json
 from typing import Any
 
 from .detector import (
-    CATEGORY_ORDER,
     CoarseCategory,
     EvidenceRef,
     FineCategory,
@@ -79,10 +78,9 @@ def render_text(report: FindingReport) -> str:
         f"FILE: {report.file}",
         _SEPARATOR,
         f"THREATS DETECTED: {report.total}",
+        *(f"{category}: {n}" for category, n in report.counts.items()),
+        _SEPARATOR,
     ]
-    for cat in CATEGORY_ORDER:
-        lines.append(f"{cat.value}: {report.counts[cat.value]}")
-    lines.append(_SEPARATOR)
     for i, finding in enumerate(report.findings, start=1):
         lines.append("")
         lines.extend(_render_finding(i, finding))
@@ -151,7 +149,7 @@ def report_to_json(report: FindingReport) -> dict[str, Any]:
     return {
         "schema_version": SCHEMA_VERSION,
         "file": report.file,
-        "counts": dict(report.counts),
+        "counts": report.counts,
         "findings": [finding_to_json(f) for f in report.findings],
     }
 

@@ -9,9 +9,7 @@ per-item interval/equality check; items are independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
-from enum import Enum
 from typing import Iterable
 
 from .ir import (
@@ -27,87 +25,42 @@ from .ir import (
 )
 
 
-class OverlapReason(Enum):
-    SAME_EVENT = "same-event"
-    CONSERVATIVE_DEFAULT = "conservative-default"
-    DISJOINT_CRON = "proven-disjoint-cron"
-    DISJOINT_STATE = "proven-disjoint-state"
-
-
-@dataclass(frozen=True)
-class OverlapVerdict:
-    overlap: bool
-    reason: OverlapReason
-
-
 def value_conflicts(v1: Value, v2: Value) -> bool:
     """Canonically different values conflict (ON/OFF, 20/25, off_r/on_r)."""
     return not values_equal(v1, v2)
 
 
-def _same_trigger_event(a: Trigger, b: Trigger) -> bool:
-    if a.kind is not b.kind:
-        return False
-    if a.kind is TriggerKind.CRON:
-        return a.cron.fields == b.cron.fields
-    if a.kind is TriggerKind.SYSTEM_STARTED:
-        return True
-    if a.item != b.item:
-        return False
-    if a.kind is TriggerKind.ITEM_CHANGED:
-        return values_equal(a.from_value, b.from_value) and values_equal(a.to_value, b.to_value)
-    if a.kind is TriggerKind.ITEM_COMMAND:
-        return values_equal(a.command_value, b.command_value)
-    if a.kind is TriggerKind.ITEM_UPDATE:
-        return True
-    return a.op == b.op and values_equal(a.value, b.value)
-
-
-def triggers_overlap(a: Trigger, b: Trigger) -> OverlapVerdict:
+def triggers_overlap(a: Trigger, b: Trigger) -> bool:
     """Conservative, symmetric, reflexive trigger-concurrency check."""
-    if _same_trigger_event(a, b):
-        return OverlapVerdict(True, OverlapReason.SAME_EVENT)
-
-    if a.kind is TriggerKind.CRON and b.kind is TriggerKind.CRON:
+    if a.kind is not b.kind:
+        return True
+    if a.kind is TriggerKind.CRON:
         fa, fb = a.cron.fixed_minute_hour(), b.cron.fixed_minute_hour()
-        if fa is not None and fb is not None and fa != fb:
-            return OverlapVerdict(False, OverlapReason.DISJOINT_CRON)
-
-    if (
-        a.kind is TriggerKind.ITEM_CHANGED
-        and b.kind is TriggerKind.ITEM_CHANGED
-        and a.item == b.item
-        and a.to_value is not None
-        and b.to_value is not None
-        and value_conflicts(a.to_value, b.to_value)
-    ):
-        return OverlapVerdict(False, OverlapReason.DISJOINT_STATE)
-
-    if (
-        a.kind is TriggerKind.STATE_COMPARISON
-        and b.kind is TriggerKind.STATE_COMPARISON
-        and a.item == b.item
-    ):
+        return fa is None or fb is None or fa == fb
+    if a.item != b.item:
+        return True
+    if a.kind is TriggerKind.ITEM_CHANGED:
+        return a.to_value is None or b.to_value is None or not value_conflicts(a.to_value, b.to_value)
+    if a.kind is TriggerKind.STATE_COMPARISON:
         ca = Condition("", ConditionKind.ITEM_COMPARISON, item=a.item, op=a.op, value=a.value)
         cb = Condition("", ConditionKind.ITEM_COMPARISON, item=b.item, op=b.op, value=b.value)
-        if not conditions_overlap([ca], [cb]):
-            return OverlapVerdict(False, OverlapReason.DISJOINT_STATE)
-
-    return OverlapVerdict(True, OverlapReason.CONSERVATIVE_DEFAULT)
+        return conditions_overlap([ca], [cb])
+    return True
 
 
 # ---------------------------------------------------------------------------
 # Condition satisfiability
 
 
-@dataclass
 class _ItemConstraints:
-    pins: list[Value]
-    forbids: list[Value]
-    lo: Decimal | None = None
-    lo_strict: bool = False
-    hi: Decimal | None = None
-    hi_strict: bool = False
+    """Equalities, inequalities and numeric bounds on one item."""
+
+    def __init__(self) -> None:
+        self.pins: list[Value] = []
+        self.forbids: list[Value] = []
+        self.lo: Decimal | None = None
+        self.hi: Decimal | None = None
+        self.lo_strict = self.hi_strict = False
 
     def add_bound(self, op: str, number: Decimal) -> None:
         if op in (">", ">="):
@@ -161,7 +114,7 @@ def _satisfiable(conditions: Iterable[Condition]) -> bool:
             window_lo = max(window_lo, cond.window[0])
             window_hi = min(window_hi, cond.window[1])
             continue
-        cons = per_item.setdefault(cond.item, _ItemConstraints([], []))
+        cons = per_item.setdefault(cond.item, _ItemConstraints())
         value = cond.value
         if cond.op == "==":
             cons.pins.append(value)

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SourceFile:
+class SourceFile(NamedTuple):
     path: str
     content: str
 

@@ -11,7 +11,6 @@ tests.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 from ritkit.ir import (
@@ -370,7 +369,7 @@ def renumber(rules: list[Rule], file_id: str) -> RuleSet:
     for n, rule in enumerate(rules, start=1):
         rid = f"r{n}"
         triggers = tuple(
-            replace(t, id=f"{rid}t{m}") for m, t in enumerate(rule.triggers, start=1)
+            t._replace(id=f"{rid}t{m}") for m, t in enumerate(rule.triggers, start=1)
         )
         cond_counter = 0
         cond_ids: dict[int, Condition] = {}
@@ -380,16 +379,16 @@ def renumber(rules: list[Rule], file_id: str) -> RuleSet:
             key = id(cond)
             if key not in cond_ids:
                 cond_counter += 1
-                cond_ids[key] = replace(cond, id=f"{rid}c{cond_counter}")
+                cond_ids[key] = cond._replace(id=f"{rid}c{cond_counter}")
             return cond_ids[key]
 
         conditions = tuple(fresh(c) for c in rule.conditions)
         gas: list[GuardedAction] = []
         for m, ga in enumerate(rule.guarded_actions, start=1):
-            action = replace(ga.action, id=f"{rid}a{m}")
+            action = ga.action._replace(id=f"{rid}a{m}")
             gas.append(GuardedAction(action, tuple(fresh(c) for c in ga.guards)))
         out.append(
-            replace(rule, id=rid, triggers=triggers, conditions=conditions, guarded_actions=tuple(gas))
+            rule._replace(id=rid, triggers=triggers, conditions=conditions, guarded_actions=tuple(gas))
         )
     return RuleSet(file_id=file_id, rules=tuple(out))
 

@@ -297,6 +297,9 @@ class TestConfig:
         path.write_text(json.dumps({"backend": {"endpoint": "http://x", "model": "m", "tempratur": 1}}), encoding="utf-8")
         with pytest.raises(ConfigError, match="tempratur"):
             load_config(path)
+        path.write_text(json.dumps({"backend": {"endpoint": "http://x"}}), encoding="utf-8")
+        with pytest.raises(ConfigError, match="^bad backend config: missing model$"):
+            load_config(path)
 
     def test_bad_category_rejected(self, tmp_path):
         path = tmp_path / "cats.json"
@@ -420,6 +423,17 @@ class TestStartUp:
         assert (status, http_loaded) == ("0", "False")
         loaded = {m.removeprefix("ritkit.") for m in modules}
         assert "cli" in loaded and loaded.isdisjoint(not_loaded), sorted(loaded & not_loaded)
+
+    def test_detect_loads_neither_dataclasses_nor_inspect(self):
+        code = (
+            "import contextlib, io, sys\n"
+            "from ritkit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    main(['detect', {str(BENIGN)!r}])\n"
+            "sys.exit(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules) or None)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], env=self.ENV, timeout=60, capture_output=True, text=True)
+        assert (result.returncode, result.stderr) == (0, "")
 
     def test_backend_call_never_loads_requests(self):
         with MockBackendServer([(200, "WAC")], keep_alive=True) as server:
@@ -653,6 +667,22 @@ class TestExitCodeContract:
         code, out, err = run_cli(capsys, "adjudicate", str(report_path), "--stub", "accept-all", "--routed", "WAC,BOGUS")
         assert code == 2 and out == ""
         assert err.startswith("error: unknown category: ") and "BOGUS" in err
+
+    def test_negative_sample_size_names_the_flag(self, capsys, tmp_path):
+        argv = ["mutate", "--out-dir", str(tmp_path / "x"), "--strategy", "sample", "--sample-n", "-1", "--rng-seed", "1"]
+        assert run_cli(capsys, *argv) == (2, "", "error: --sample-n must be >= 0, not -1\n")
+
+    def test_seed_that_is_not_utf8_is_named(self, capsys, tmp_path):
+        seed = tmp_path / "latin1.rules"
+        seed.write_bytes(BENIGN.read_bytes() + "// caf\xe9\n".encode("latin-1"))
+        code, out, err = run_cli(capsys, "mutate", str(seed), "--out-dir", str(tmp_path / "x"))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {seed}: 'utf-8' codec can't decode") and err.count("\n") == 1
+
+    def test_empty_replay_log_is_named(self, capsys, tmp_path):
+        log = tmp_path / "empty.jsonl"
+        log.write_text("", encoding="utf-8")
+        assert run_cli(capsys, "eval", "--replay", str(log)) == (2, "", "error: replay log is empty\n")
 
     def test_table_stub_must_map_keys_to_booleans(self, capsys, tmp_path, report_path):
         for doc in ([], {"SAC:r1:r2:r1a1:r2a1": "yes"}):

@@ -19,6 +19,20 @@ from ritkit.detector import (
     detect_pair,
     finding_key,
 )
+from ritkit.ir import (
+    Action,
+    ActionKind,
+    Condition,
+    ConditionKind,
+    CronSpec,
+    Diagnostic,
+    GuardedAction,
+    Rule,
+    RuleSet,
+    Trigger,
+    TriggerKind,
+    make_value,
+)
 from ritkit.report import render_structured, render_text
 
 LENIENT = DetectorConfig(strict_event_matching=False)
@@ -316,3 +330,49 @@ class TestInvariants:
 
     def test_detection_is_deterministic(self, morning_pair):
         assert detect_file(morning_pair) == detect_file(morning_pair)
+
+
+def _condition(cid: str, item: str) -> Condition:
+    return Condition(cid, ConditionKind.ITEM_COMPARISON, item=item, op="==", value=make_value("ON"))
+
+
+class TestRecords:
+    def test_fields_cannot_be_assigned(self, fire_alarm_pair):
+        guard = _condition("r1c1", "X")
+        guarded = GuardedAction(Action("r1a1", ActionKind.SEND_COMMAND, "Y", make_value("ON")), (guard,))
+        trigger = Trigger("r1t1", TriggerKind.CRON, cron=CronSpec.parse("0 30 8 * * ?"))
+        rule = Rule("r1", "one", (trigger,), (guarded,))
+        report = detect_file(fire_alarm_pair)
+        finding = report.findings[0]
+        records = [
+            (guard.value, "text"),
+            (trigger.cron, "raw"),
+            (trigger, "kind"),
+            (guard, "op"),
+            (guarded.action, "value"),
+            (guarded, "guards"),
+            (rule, "conditions"),
+            (Diagnostic("error", "rule-block", "m"), "line"),
+            (RuleSet("f", (rule,)), "rules"),
+            (DetectorConfig(), "strict_event_matching"),
+            (finding.action_a, "text"),
+            (finding.rule_a, "name"),
+            (finding, "category"),
+            (report, "findings"),
+        ]
+        for record, field in records:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+            assert getattr(record, field) is not None
+
+    def test_all_conditions_are_rule_level_then_distinct_guards_by_id(self):
+        c1, c2, c3, c4 = (_condition(f"r1c{k}", f"I{k}") for k in range(1, 5))
+        act = Action("r1a1", ActionKind.SEND_COMMAND, "Y", make_value("ON"))
+        guarded = (
+            GuardedAction(act, (c3, _condition("r1c1", "other"))),  # same id as c1: c1 is kept
+            GuardedAction(act, (c4, c3)),
+            GuardedAction(act),
+        )
+        rule = Rule("r1", "one", (), guarded, conditions=(c2, c1))
+        assert rule.all_conditions() == (c2, c1, c3, c4)
+        assert Rule("r2", "two", (), guarded).all_conditions() == (c3, _condition("r1c1", "other"), c4)

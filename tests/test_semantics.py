@@ -20,7 +20,6 @@ from ritkit.ir import (
     number_value,
 )
 from ritkit.semantics import (
-    OverlapReason,
     action_enables_condition,
     action_matches_trigger,
     actions_contradict,
@@ -53,37 +52,34 @@ def update(item: str, value: str) -> Action:
 class TestTriggersOverlap:
     def test_cron_vs_state_comparison_defaults_to_overlap(self):
         state = Trigger("t", TriggerKind.STATE_COMPARISON, item="Temperature", op=">=", value=number_value(25))
-        verdict = triggers_overlap(cron("0 00 18 * * ?"), state)
-        assert verdict.overlap and verdict.reason is OverlapReason.CONSERVATIVE_DEFAULT
+        assert triggers_overlap(cron("0 00 18 * * ?"), state) is True
 
     def test_distinct_fixed_crons_are_disjoint(self):
-        verdict = triggers_overlap(cron("0 30 08 * * ?"), cron("0 30 22 * * ?"))
-        assert not verdict.overlap and verdict.reason is OverlapReason.DISJOINT_CRON
+        assert triggers_overlap(cron("0 30 08 * * ?"), cron("0 30 22 * * ?")) is False
 
     def test_same_item_changed_to_different_values_is_disjoint(self):
-        verdict = triggers_overlap(changed("Foyer_Light", "ON"), changed("Foyer_Light", "OFF"))
-        assert not verdict.overlap and verdict.reason is OverlapReason.DISJOINT_STATE
+        assert triggers_overlap(changed("Foyer_Light", "ON"), changed("Foyer_Light", "OFF")) is False
 
     def test_state_comparisons_with_empty_intersection(self):
         lo = Trigger("t", TriggerKind.STATE_COMPARISON, item="temp", op="<", value=number_value(10))
         hi = Trigger("t", TriggerKind.STATE_COMPARISON, item="temp", op=">=", value=number_value(25))
-        assert not triggers_overlap(lo, hi).overlap
+        assert triggers_overlap(lo, hi) is False
 
     def test_wildcard_cron_overlaps_fixed(self):
-        assert triggers_overlap(cron("0 * * * * ?"), cron("0 30 08 * * ?")).overlap
+        assert triggers_overlap(cron("0 * * * * ?"), cron("0 30 08 * * ?")) is True
 
     @given(st.integers(0, 10_000))
     def test_symmetric_and_reflexive(self, seed):
         rng = random.Random(seed)
         t1, t2 = oracle._random_trigger(rng), oracle._random_trigger(rng)
-        assert triggers_overlap(t1, t2).overlap == triggers_overlap(t2, t1).overlap
-        assert triggers_overlap(t1, t1).overlap
+        assert triggers_overlap(t1, t2) == triggers_overlap(t2, t1)
+        assert triggers_overlap(t1, t1) is True
 
     @given(st.integers(0, 10_000))
     def test_disjointness_is_confirmed_by_enumeration(self, seed):
         rng = random.Random(seed)
         t1, t2 = oracle._random_trigger(rng), oracle._random_trigger(rng)
-        if not triggers_overlap(t1, t2).overlap:
+        if not triggers_overlap(t1, t2):
             assert not oracle.oracle_triggers_overlap(t1, t2)
 
 
