@@ -14,10 +14,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .config import ConfigError, ToolConfig, load_config
 
 if TYPE_CHECKING:
-    from .evaluate import ExperimentConfig, GroundTruthEntry
+    from .config import BackendConfig
+    from .evaluate import GroundTruthEntry
+    from .prompts import ExperimentConfig
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -38,15 +39,6 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-
-
-def _load_tool_config(path: str | None) -> ToolConfig:
-    return load_config(path) if path else ToolConfig()
-
-
-def _strict_matching(args: argparse.Namespace, config: ToolConfig) -> bool:
-    """Strict event matching unless --lenient-matching or the config turns it off."""
-    return not args.lenient_matching and config.strict_event_matching
 
 
 def _collect_rules_files(paths: list[str]) -> list[Path]:
@@ -72,11 +64,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     from .report import render_structured, render_structured_lines, render_text
     from .source import SourceFile
 
-    try:
-        config = _load_tool_config(args.config)
-    except ConfigError as exc:
-        return _fail(str(exc))
-    detector_config = DetectorConfig(strict_event_matching=_strict_matching(args, config))
+    detector_config = DetectorConfig(strict_event_matching=not args.lenient_matching)
     try:
         files = _collect_rules_files(args.paths)
     except FileNotFoundError as exc:
@@ -95,8 +83,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
             print(f"{path}:{diag.line}:{diag.col}: {diag.severity}: {diag.message}", file=sys.stderr)
         reports.append(detect_file(ruleset, detector_config))
 
-    fmt = args.format or config.format
-    if fmt == "text":
+    if args.format == "text":
         body = "\n".join(render_text(r) for r in reports)
     elif len(reports) == 1:
         body = render_structured(reports[0])
@@ -155,7 +142,7 @@ def cmd_mutate(args: argparse.Namespace) -> int:
 # adjudicate
 
 
-def _make_adjudicator(args: argparse.Namespace, config: ToolConfig):
+def _make_adjudicator(args: argparse.Namespace, backend_config: BackendConfig | None):
     """The adjudicator, and its HTTP backend (None for a stub)."""
     from .client import HttpBackend, StubAdjudicator
     from .hybrid import ModelAdjudicator
@@ -167,40 +154,41 @@ def _make_adjudicator(args: argparse.Namespace, config: ToolConfig):
             table_path = args.stub.split(":", 1)[1]
             table = json.loads(Path(table_path).read_text(encoding="utf-8"))
             if not isinstance(table, dict) or not all(isinstance(v, bool) for v in table.values()):
-                raise ConfigError(f"table stub {table_path} must be a JSON object of booleans")
+                raise ValueError(f"table stub {table_path} must be a JSON object of booleans")
             return StubAdjudicator("table", table=table), None
-        raise ConfigError(f"unknown stub policy: {args.stub}")
-    if config.backend is None:
-        raise ConfigError("no backend configured; pass --stub or a config with a backend")
-    backend = HttpBackend(config.backend)
+        raise ValueError(f"unknown stub policy: {args.stub}")
+    if backend_config is None:
+        raise ValueError("no backend configured; pass --stub or a config with a backend")
+    backend = HttpBackend(backend_config)
     return ModelAdjudicator(backend), backend
 
 
 def cmd_adjudicate(args: argparse.Namespace) -> int:
+    from .config import load_config
+
     try:
-        config = _load_tool_config(args.config)
-        adjudicator, backend = _make_adjudicator(args, config)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+        adjudicator, backend = _make_adjudicator(args, load_config(args.config).backend if args.config else None)
+    except (OSError, ValueError) as exc:  # a bad config (ConfigError), stub table or endpoint
         return _fail(str(exc))
     try:
-        return _reconcile(args, config, adjudicator, BACKEND_JOBS if backend else 1)
+        return _reconcile(args, adjudicator, BACKEND_JOBS if backend else 1)
     finally:
         if backend is not None:
             backend.close()
 
 
-def _reconcile(args: argparse.Namespace, config: ToolConfig, adjudicator, jobs: int) -> int:
+def _reconcile(args: argparse.Namespace, adjudicator, jobs: int) -> int:
     from .detector import FineCategory
-    from .hybrid import run_pipeline
+    from .hybrid import DEFAULT_ROUTED_SET, run_pipeline
     from .records import dump_records
     from .report import finding_to_json, parse_structured, render_text, report_to_json
 
     try:
         report = parse_structured(Path(args.report).read_text(encoding="utf-8"))
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(f"cannot load report {args.report}: {exc}")
     try:
-        routed = frozenset(FineCategory(name) for name in (args.routed.split(",") if args.routed else config.routed_set))
+        routed = frozenset(FineCategory(name) for name in args.routed.split(",")) if args.routed else DEFAULT_ROUTED_SET
     except ValueError as exc:
         return _fail(f"unknown category: {exc}")
     result = run_pipeline(report, adjudicator, routed, jobs)
@@ -210,8 +198,7 @@ def _reconcile(args: argparse.Namespace, config: ToolConfig, adjudicator, jobs: 
     for ref in result.fail_open_refs:
         print(f"warning: adjudicator unavailable, fail-open kept finding {ref}", file=sys.stderr)
 
-    fmt = args.format or config.format
-    if fmt == "text":
+    if args.format == "text":
         body = render_text(result.final)
     else:
         doc = report_to_json(result.final)
@@ -227,37 +214,32 @@ def _reconcile(args: argparse.Namespace, config: ToolConfig, adjudicator, jobs: 
 
 
 def _predictor_from_spec(
-    spec: str,
-    dataset: list[GroundTruthEntry],
-    config: ExperimentConfig,
-    strict: bool,
-    tool_config: ToolConfig,
+    args: argparse.Namespace, dataset: list[GroundTruthEntry], config: ExperimentConfig, backend: BackendConfig | None
 ):
-    """The predictor, and its HTTP backend (None for the others)."""
+    """The `--predictor`, and its HTTP backend (None for the others); a bad spec is a ValueError."""
     from .evaluate import backend_predictor, constant_predictor, detector_predictor, echo_predictor
 
+    spec = args.predictor
     if spec == "echo":
         return echo_predictor(dataset, config.taxonomy), None
     if spec.startswith("constant:"):
         return constant_predictor(spec.split(":", 1)[1]), None
     if spec == "detector":
-        return detector_predictor(config.taxonomy, strict), None
+        return detector_predictor(config.taxonomy, strict=not args.lenient_matching), None
     if spec == "backend":
-        if tool_config.backend is None:
-            raise ConfigError("--predictor backend needs a config file with a backend section")
+        if backend is None:
+            raise ValueError("--predictor backend needs a config file with a backend section")
         from .client import HttpBackend
-        from .prompts import PromptTemplate
 
-        template = PromptTemplate(config.shots, config.taxonomy, config.multi_response)
-        backend = HttpBackend(tool_config.backend)
-        return backend_predictor(template, backend), backend
-    raise ConfigError(f"unknown predictor: {spec}")
+        http = HttpBackend(backend)
+        return backend_predictor(config, http), http
+    raise ValueError(f"unknown predictor: {spec}")
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .config import load_config
     from .evaluate import (
         EXPERIMENT_CELLS,
-        ExperimentConfig,
         InstanceLog,
         load_ground_truth,
         load_predictions,
@@ -265,14 +247,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
         render_metrics_table,
         run_experiment,
     )
-    from .prompts import BACKEND_FAILURE
+    from .prompts import BACKEND_FAILURE, ExperimentConfig
     from .records import dump_records, read_records
 
-    if args.experiment:
-        config = EXPERIMENT_CELLS[args.experiment]
-        config = ExperimentConfig(config.taxonomy, config.multi_response, args.shots)
-    else:
-        config = ExperimentConfig(args.taxonomy, args.scoring == "multi", args.shots)
+    overridden = [flag for flag, value in (("--taxonomy", args.taxonomy), ("--scoring", args.scoring)) if value]
+    if args.experiment and overridden:
+        return _fail(f"--experiment sets the taxonomy and scoring; drop {' and '.join(overridden)}")
+    cell = EXPERIMENT_CELLS[args.experiment] if args.experiment else ExperimentConfig()
+    multi = cell.multi_response if args.scoring is None else args.scoring == "multi"
+    config = ExperimentConfig(args.taxonomy or cell.taxonomy, multi, args.shots)
+    try:
+        backend_config = load_config(args.config).backend if args.config else None
+    except ValueError as exc:  # a ConfigError
+        return _fail(str(exc))
 
     if args.replay:
         try:
@@ -308,11 +295,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         backend = None
     else:
         try:
-            tool_config = _load_tool_config(args.config)
-            predictor, backend = _predictor_from_spec(
-                args.predictor, dataset, config, strict=_strict_matching(args, tool_config), tool_config=tool_config
-            )
-        except ConfigError as exc:
+            predictor, backend = _predictor_from_spec(args, dataset, config, backend_config)
+        except ValueError as exc:
             return _fail(str(exc))
 
     try:
@@ -339,10 +323,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="analyze .rules files and report threats")
     p.add_argument("paths", nargs="+", help=".rules files or directories (recursed)")
-    p.add_argument("--format", choices=("text", "structured"), default=None, help="report format")
+    p.add_argument("--format", choices=("text", "structured"), default="text", help="report format")
     p.add_argument("--out", help="write the report to a file instead of stdout")
     p.add_argument("--lenient-matching", action="store_true", help="let postUpdate fire received-command triggers")
-    p.add_argument("--config", help="path to a JSON tool config")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("mutate", help="generate a mutation corpus from benign seeds")
@@ -364,7 +347,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--stub", help="offline adjudicator: accept-all | reject-all | table:<json-path>")
     p.add_argument("--routed", help="comma-separated categories to adjudicate (default WAC,WTC)")
     p.add_argument("--audit-log", help="write per-subtask audit records (JSONL) here")
-    p.add_argument("--format", choices=("text", "structured"), default=None, help="final report format")
+    p.add_argument("--format", choices=("text", "structured"), default="text", help="final report format")
     p.add_argument("--out", help="write the final report to a file instead of stdout")
     p.add_argument("--config", help="path to a JSON tool config (backend settings live here)")
     p.set_defaults(func=cmd_adjudicate)
@@ -375,8 +358,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictor", help="predictor: echo | detector | constant:<LABEL> | backend")
     p.add_argument("--replay", help="recompute metrics from a per-instance log")
     p.add_argument("--experiment", choices=("A", "B", "C", "D"), help="preset cell: A/B six-class, C/D three-class")
-    p.add_argument("--taxonomy", choices=("six", "three"), default="six", help="label granularity")
-    p.add_argument("--scoring", choices=("multi", "single"), default="multi", help="multiple responses allowed or not")
+    p.add_argument("--taxonomy", choices=("six", "three"), help="label granularity")
+    p.add_argument("--scoring", choices=("multi", "single"), help="multiple responses allowed or not")
     p.add_argument("--shots", type=int, choices=(0, 1, 2), default=0, help="examples per category in prompts")
     p.add_argument("--lenient-matching", action="store_true", help="detector predictor uses lenient event matching")
     p.add_argument("--per-instance-log", help="write the replayable per-instance log here")

@@ -1,12 +1,11 @@
-"""Shared tool configuration file (JSON), with unknown keys rejected.
+"""The tool configuration file (JSON): the HTTP backend, unknown keys rejected.
 
-Each value must have its JSON type: `strict_event_matching` is `true` or
-`false`, `routed_set` a list of category names and `format` a string. In
-`backend`, `endpoint`, `model` and `api_key_env` are strings,
-`max_output_tokens` and `max_retries` integers, and the other fields
-numbers; a boolean is not a number, and neither is NaN or an infinity.
-`timeout` must be positive and `rate_limit_per_sec` null, 0 (both: no
-limit) or positive. A violation is a `ConfigError`.
+The file holds one key, `backend`. In it, `endpoint`, `model` and
+`api_key_env` are strings, `max_output_tokens` and `max_retries` integers,
+and the other fields numbers; a boolean is not a number, and neither is NaN
+or an infinity. `timeout` must be positive and `rate_limit_per_sec` null, 0
+(both: no limit) or positive. A violation is a `ConfigError`. Every other
+run setting is a flag.
 """
 
 from __future__ import annotations
@@ -16,10 +15,8 @@ import math
 from pathlib import Path
 from typing import NamedTuple
 
-from .detector import FineCategory
 
-
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
@@ -75,34 +72,8 @@ class BackendConfig(_BackendFields):
         return self
 
 
-class _ToolFields(NamedTuple):
-    strict_event_matching: bool = True
-    routed_set: tuple[str, ...] = ("WAC", "WTC")
+class ToolConfig(NamedTuple):
     backend: BackendConfig | None = None
-    format: str = "text"  # "text" | "structured"
-
-
-class ToolConfig(_ToolFields):
-    """The tool fields, checked when built: a bad value is a ConfigError."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args: object, **kwargs: object) -> ToolConfig:
-        self = super().__new__(cls, *args, **kwargs)
-        if not isinstance(self.strict_event_matching, bool):
-            raise ConfigError("strict_event_matching must be true or false")
-        for name in self.routed_set:
-            try:
-                FineCategory(name)
-            except ValueError:
-                raise ConfigError(f"unknown category in routed_set: {name!r}") from None
-        if self.format not in ("text", "structured"):
-            raise ConfigError("format must be 'text' or 'structured'")
-        return self
-
-
-_TOOL_KEYS = set(ToolConfig._fields)
-_BACKEND_KEYS = set(BackendConfig._fields)
 
 
 def load_config(path: str | Path) -> ToolConfig:
@@ -113,33 +84,22 @@ def load_config(path: str | Path) -> ToolConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
 
-    unknown = set(data) - _TOOL_KEYS
+    unknown = set(data) - set(ToolConfig._fields)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
-    backend = None
-    if "backend" in data and data["backend"] is not None:
-        raw = data["backend"]
-        if not isinstance(raw, dict):
-            raise ConfigError("backend must be a JSON object")
-        bad = set(raw) - _BACKEND_KEYS
-        if bad:
-            raise ConfigError(f"unknown backend keys: {', '.join(sorted(bad))}")
-        missing = [name for name in ("endpoint", "model") if name not in raw]
-        if missing:
-            raise ConfigError(f"bad backend config: missing {' and '.join(missing)}")
-        try:
-            backend = BackendConfig(**raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad backend config: {exc}") from exc
-
-    kwargs = {k: v for k, v in data.items() if k != "backend"}
-    if "routed_set" in kwargs:
-        routed = kwargs["routed_set"]
-        if not isinstance(routed, list) or not all(isinstance(name, str) for name in routed):
-            raise ConfigError("routed_set must be a JSON list of category names")
-        kwargs["routed_set"] = tuple(routed)
+    raw = data.get("backend")
+    if raw is None:
+        return ToolConfig()
+    if not isinstance(raw, dict):
+        raise ConfigError("backend must be a JSON object")
+    bad = set(raw) - set(BackendConfig._fields)
+    if bad:
+        raise ConfigError(f"unknown backend keys: {', '.join(sorted(bad))}")
+    missing = [name for name in ("endpoint", "model") if name not in raw]
+    if missing:
+        raise ConfigError(f"bad backend config: missing {' and '.join(missing)}")
     try:
-        return ToolConfig(backend=backend, **kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad config: {exc}") from exc
+        return ToolConfig(BackendConfig(**raw))
+    except ValueError as exc:
+        raise ConfigError(f"bad backend config: {exc}") from exc

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, TypeVar
 from .detector import FineCategory, aggregate
 from .mutate import MutantManifest
 from .ordered import ordered_map
-from .prompts import BACKEND_FAILURE, COARSE_LABELS, FINE_LABELS, ParseFailure
+from .prompts import BACKEND_FAILURE, ExperimentConfig, ParseFailure
 from .records import read_records
 
 Prediction = tuple[str, ...] | ParseFailure
@@ -101,23 +101,6 @@ def load_ground_truth(path: str | Path) -> list[GroundTruthEntry]:
 def load_predictions(path: str | Path) -> dict[str, tuple[str, ...]]:
     """Labels by instance id; an id on two lines is a ValueError."""
     return {p.instance_id: p.labels for p in _check_unique_ids(read_records(path, PredictionEntry))}
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    taxonomy: str = "six"  # "six" | "three"
-    multi_response: bool = True
-    shots: int = 0
-
-    def __post_init__(self) -> None:
-        if self.taxonomy not in ("six", "three"):
-            raise ValueError("taxonomy must be 'six' or 'three'")
-        if self.shots not in (0, 1, 2):
-            raise ValueError("shots must be 0, 1 or 2")
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return FINE_LABELS if self.taxonomy == "six" else COARSE_LABELS
 
 
 # The four evaluation cells; mutation runs reuse them as dataset choices.
@@ -252,7 +235,7 @@ def detector_predictor(taxonomy: str = "six", strict: bool = True) -> Predictor:
     return predict
 
 
-def backend_predictor(template, backend) -> Predictor:
+def backend_predictor(config: ExperimentConfig, backend) -> Predictor:
     """Blind classification through a text backend (hybrid recovery mode).
 
     A backend that gives up yields the parse failure `backend:<error_class>`;
@@ -260,7 +243,7 @@ def backend_predictor(template, backend) -> Predictor:
     """
     from .hybrid import recover_negatives
 
-    return lambda entry: recover_negatives(Path(entry.source).read_text(encoding="utf-8"), template, backend)
+    return lambda entry: recover_negatives(Path(entry.source).read_text(encoding="utf-8"), config, backend)
 
 
 class _Outage(Exception):

@@ -19,7 +19,7 @@ from typing import Protocol
 from .client import AdjudicatorUnavailable, BackendError
 from .detector import CoarseCategory, FineCategory, Finding, FindingReport, finding_key
 from .ordered import ordered_map
-from .prompts import BACKEND_FAILURE, ParseFailure, PromptTemplate, build_prompt, parse_model_response, scan_labels
+from .prompts import BACKEND_FAILURE, ExperimentConfig, ParseFailure, build_prompt, parse_model_response, scan_labels
 
 DEFAULT_ROUTED_SET = frozenset({FineCategory.WAC, FineCategory.WTC})
 
@@ -170,14 +170,14 @@ def run_pipeline(
 # Blind false-negative recovery
 
 
-def recover_negatives(ruleset_text: str, template: PromptTemplate, backend) -> tuple[str, ...] | ParseFailure:
+def recover_negatives(ruleset_text: str, config: ExperimentConfig, backend) -> tuple[str, ...] | ParseFailure:
     """Classify a ruleset with no detector evidence attached.
 
     A backend that gives up yields the parse failure `backend:<error_class>`.
     """
-    prompt = build_prompt(template, ruleset_text)
+    prompt = build_prompt(config, ruleset_text)
     try:
         response = backend.complete(prompt)
     except BackendError as exc:
         return ParseFailure(f"{BACKEND_FAILURE}{exc.error_class}", "")
-    return parse_model_response(response, template.taxonomy, template.multi_response)
+    return parse_model_response(response, config.taxonomy, config.multi_response)

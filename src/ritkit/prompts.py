@@ -1,4 +1,4 @@
-"""Prompt assembly and model-response label extraction.
+"""Experiment cells, prompt assembly and model-response label extraction.
 
 Prompts are built byte-deterministically from text assets: a fixed
 preamble, per-category definition blocks with zero, one or two embedded
@@ -15,7 +15,6 @@ from importlib import resources
 FINE_LABELS = ("WAC", "SAC", "WTC", "STC", "WCC", "SCC")
 COARSE_LABELS = ("AC", "TC", "CC")
 
-_SIX_FAMILIES = ("AC", "TC", "CC")
 _FAMILY_MEMBERS = {"AC": ("WAC", "SAC"), "TC": ("WTC", "STC"), "CC": ("WCC", "SCC")}
 
 # Three-class example slots borrow the weak then strong member example.
@@ -41,16 +40,26 @@ def _asset(*parts: str) -> str:
 
 
 @dataclass(frozen=True)
-class PromptTemplate:
-    shots: int = 0
+class ExperimentConfig:
+    """One experiment cell: the label taxonomy, the scoring mode and the prompt's shots."""
+
     taxonomy: str = "six"  # "six" | "three"
     multi_response: bool = True
+    shots: int = 0
 
     def __post_init__(self) -> None:
-        if self.shots not in (0, 1, 2):
-            raise ValueError("shots must be 0, 1 or 2")
         if self.taxonomy not in ("six", "three"):
             raise ValueError("taxonomy must be 'six' or 'three'")
+        if self.shots not in (0, 1, 2):
+            raise ValueError("shots must be 0, 1 or 2")
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return FINE_LABELS if self.taxonomy == "six" else COARSE_LABELS
+
+
+# `bench/run.py --trace 1` builds prompts with `PromptTemplate()`; the alias goes with that in-process mode.
+PromptTemplate = ExperimentConfig
 
 
 def _example_block(names: tuple[str, ...], shots: int) -> str:
@@ -61,31 +70,31 @@ def _example_block(names: tuple[str, ...], shots: int) -> str:
     return "".join(parts)
 
 
-def _definitions(template: PromptTemplate) -> str:
+def _definitions(config: ExperimentConfig) -> str:
     blocks = []
-    for family in _SIX_FAMILIES:
-        if template.taxonomy == "six":
+    for family in COARSE_LABELS:
+        if config.taxonomy == "six":
             text = _asset("defs", f"six_{family}.txt")
             for member in _FAMILY_MEMBERS[family]:
                 slot = f"[[{member}_EXAMPLES]]"
-                text = text.replace(slot, _example_block((f"{member}_1", f"{member}_2"), template.shots))
+                text = text.replace(slot, _example_block((f"{member}_1", f"{member}_2"), config.shots))
         else:
             text = _asset("defs", f"three_{family}.txt")
-            text = text.replace(f"[[{family}_EXAMPLES]]", _example_block(_THREE_EXAMPLES[family], template.shots))
+            text = text.replace(f"[[{family}_EXAMPLES]]", _example_block(_THREE_EXAMPLES[family], config.shots))
         blocks.append(text)
     return "\n\n".join(blocks)
 
 
-def _output_format(template: PromptTemplate) -> str:
-    letters = "3" if template.taxonomy == "six" else "2"
-    if template.multi_response:
-        example = "WAC,STC" if template.taxonomy == "six" else "AC,TC"
+def _output_format(config: ExperimentConfig) -> str:
+    letters = "3" if config.taxonomy == "six" else "2"
+    if config.multi_response:
+        example = "WAC,STC" if config.taxonomy == "six" else "AC,TC"
         head = (
             f"Return only the {letters}-letter acronyms of detected threats, separated by commas "
             "if multiple exist. Do not give me an explanation or any reasoning."
         )
     else:
-        example = "WAC" if template.taxonomy == "six" else "AC"
+        example = "WAC" if config.taxonomy == "six" else "AC"
         head = (
             f"Return only the single {letters}-letter acronym of the most likely threat. "
             "Do not give me an explanation or any reasoning."
@@ -98,15 +107,15 @@ def _output_format(template: PromptTemplate) -> str:
     )
 
 
-def build_prompt(template: PromptTemplate, ruleset_text: str) -> str:
+def build_prompt(config: ExperimentConfig, ruleset_text: str) -> str:
     """Assemble the full classification prompt for one ruleset."""
     if not ruleset_text.strip():
         raise ValueError("ruleset text must be nonempty")
     return (
         f"{_asset('preamble.txt')}\n\n"
         "THREAT TYPES AND PATTERNS\n"
-        f"{_definitions(template)}\n\n"
-        f"{_output_format(template)}\n\n"
+        f"{_definitions(config)}\n\n"
+        f"{_output_format(config)}\n\n"
         f"{PROMPT_TAIL}"
         f"{ruleset_text}"
     )

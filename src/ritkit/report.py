@@ -92,57 +92,64 @@ def render_text(report: FindingReport) -> str:
 # Structured (JSON) form
 
 
-def _ref_to_json(ref: EvidenceRef | None) -> dict[str, str] | None:
-    return None if ref is None else {"id": ref.id, "text": ref.text}
-
-
-def _refs_to_json(refs: tuple[EvidenceRef, ...]) -> list[dict[str, str]]:
-    return [_ref_to_json(r) for r in refs]
+# Finding keys that hold a list of evidence refs, and keys that hold one ref or null.
+_REF_LISTS = ("triggers_a", "triggers_b", "conditions_a", "conditions_b", "enabled_conditions_b")
+_NULLABLE_REFS = ("action_a", "action_b", "trigger_b")
+# The refs that each family's text block shows: a finding of the family must have them.
+_SHOWN_REFS = {"AC": ("action_a", "action_b"), "TC": ("action_a", "trigger_b"), "CC": ("action_a",)}
 
 
 def finding_to_json(f: Finding) -> dict[str, Any]:
     return {
         "category": f.category.value,
         "coarse": f.coarse.value,
-        "rule_a": {"id": f.rule_a.id, "name": f.rule_a.name},
-        "rule_b": {"id": f.rule_b.id, "name": f.rule_b.name},
+        "rule_a": f.rule_a._asdict(),
+        "rule_b": f.rule_b._asdict(),
         "threat_pair": list(f.threat_pair),
-        "triggers_a": _refs_to_json(f.triggers_a),
-        "triggers_b": _refs_to_json(f.triggers_b),
-        "conditions_a": _refs_to_json(f.conditions_a),
-        "conditions_b": _refs_to_json(f.conditions_b),
-        "action_a": _ref_to_json(f.action_a),
-        "action_b": _ref_to_json(f.action_b),
-        "trigger_b": _ref_to_json(f.trigger_b),
-        "enabled_conditions_b": _refs_to_json(f.enabled_conditions_b),
         "description": f.description,
+        **{key: [ref._asdict() for ref in getattr(f, key)] for key in _REF_LISTS},
+        **{key: getattr(f, key) and getattr(f, key)._asdict() for key in _NULLABLE_REFS},
     }
 
 
-def _ref_from_json(obj: dict[str, str] | None) -> EvidenceRef | None:
-    return None if obj is None else EvidenceRef(obj["id"], obj["text"])
+def _ref_from_json(obj: Any, key: str, cls: Any = EvidenceRef) -> Any:
+    """A `cls` from a JSON object of strings; anything else is a ValueError that names `key`."""
+    if isinstance(obj, dict) and all(isinstance(obj.get(name), str) for name in cls._fields):
+        return cls(*(obj[name] for name in cls._fields))
+    raise ValueError(f"{key} must be an object with string {' and '.join(cls._fields)}")
 
 
-def _refs_from_json(objs: list[dict[str, str]]) -> tuple[EvidenceRef, ...]:
-    return tuple(_ref_from_json(o) for o in objs)
+def _list(value: Any, key: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list")
+    return value
 
 
-def finding_from_json(obj: dict[str, Any]) -> Finding:
-    return Finding(
+def finding_from_json(obj: Any) -> Finding:
+    """A finding from its JSON form; a missing key or a bad value is a ValueError that names it."""
+    if not isinstance(obj, dict):
+        raise ValueError("not a JSON object")
+    missing = [key for key in Finding._fields if key not in obj]
+    if missing:
+        raise ValueError(f"missing key {missing[0]!r}")
+    pair = obj["threat_pair"]
+    if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(ref, str) for ref in pair)):
+        raise ValueError("threat_pair must be a list of two strings")
+    if not isinstance(obj["description"], str):
+        raise ValueError("description must be a string")
+    finding = Finding(
         category=FineCategory(obj["category"]),
-        rule_a=RuleRef(obj["rule_a"]["id"], obj["rule_a"]["name"]),
-        rule_b=RuleRef(obj["rule_b"]["id"], obj["rule_b"]["name"]),
-        threat_pair=tuple(obj["threat_pair"]),
-        triggers_a=_refs_from_json(obj["triggers_a"]),
-        triggers_b=_refs_from_json(obj["triggers_b"]),
-        conditions_a=_refs_from_json(obj["conditions_a"]),
-        conditions_b=_refs_from_json(obj["conditions_b"]),
+        rule_a=_ref_from_json(obj["rule_a"], "rule_a", RuleRef),
+        rule_b=_ref_from_json(obj["rule_b"], "rule_b", RuleRef),
+        threat_pair=tuple(pair),
         description=obj["description"],
-        action_a=_ref_from_json(obj["action_a"]),
-        action_b=_ref_from_json(obj["action_b"]),
-        trigger_b=_ref_from_json(obj["trigger_b"]),
-        enabled_conditions_b=_refs_from_json(obj["enabled_conditions_b"]),
+        **{key: tuple(_ref_from_json(ref, key) for ref in _list(obj[key], key)) for key in _REF_LISTS},
+        **{key: None if obj[key] is None else _ref_from_json(obj[key], key) for key in _NULLABLE_REFS},
     )
+    absent = [key for key in _SHOWN_REFS[finding.coarse.value] if getattr(finding, key) is None]
+    if absent:
+        raise ValueError(f"{absent[0]} must not be null in a {finding.category.value} finding")
+    return finding
 
 
 def report_to_json(report: FindingReport) -> dict[str, Any]:
@@ -154,13 +161,21 @@ def report_to_json(report: FindingReport) -> dict[str, Any]:
     }
 
 
-def report_from_json(obj: dict[str, Any]) -> FindingReport:
+def report_from_json(obj: Any) -> FindingReport:
+    """A report from its JSON form; a bad one is a ValueError that names the key and the finding."""
+    if not isinstance(obj, dict):
+        raise ValueError("not a JSON object")
     if obj.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported report schema version: {obj.get('schema_version')!r}")
-    return FindingReport(
-        file=obj["file"],
-        findings=tuple(finding_from_json(f) for f in obj["findings"]),
-    )
+    if not isinstance(obj.get("file"), str):
+        raise ValueError("file must be a string")
+    findings = []
+    for i, finding in enumerate(_list(obj.get("findings"), "findings")):
+        try:
+            findings.append(finding_from_json(finding))
+        except ValueError as exc:
+            raise ValueError(f"finding {i}: {exc}") from None
+    return FindingReport(file=obj["file"], findings=tuple(findings))
 
 
 def render_structured(report: FindingReport) -> str:

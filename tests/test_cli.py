@@ -11,8 +11,8 @@ from conftest import load_bench_generator
 from mock_backend import MockBackendServer
 
 from ritkit.cli import build_arg_parser, main
-from ritkit.config import ConfigError, ToolConfig, load_config
-from ritkit.detector import detect_file
+from ritkit.config import BackendConfig, ConfigError, ToolConfig, load_config
+from ritkit.detector import FineCategory, detect_file
 from ritkit.parser import parse_ruleset
 from ritkit.report import parse_structured, render_structured, render_structured_lines, render_text
 from ritkit.source import SourceFile
@@ -66,6 +66,18 @@ class TestDetectCommand:
         code, out, err = run_cli(capsys, "detect", str(bad))
         assert code == 0
         assert "error" in err and "THREATS DETECTED: 0" in out
+
+    def test_lenient_matching_flag(self, capsys, tmp_path):
+        rules = tmp_path / "pu.rules"
+        rules.write_text(
+            'rule "poster"\nwhen\n    System started\nthen\n    postUpdate(Relay, ON)\nend\n'
+            'rule "listener"\nwhen\n    Item Relay received command\nthen\n    sendCommand(Siren, ON)\nend\n',
+            encoding="utf-8",
+        )
+        strict_code, _, _ = run_cli(capsys, "detect", str(rules))
+        lenient_code, out, _ = run_cli(capsys, "detect", str(rules), "--lenient-matching")
+        assert strict_code == 0 and lenient_code == 1
+        assert "STC" in out
 
 
 class TestMutateAndEvalCommands:
@@ -243,6 +255,25 @@ class TestMutateAndEvalCommands:
         assert code == 0
         assert "AC" in out and "WAC" not in out
 
+    @pytest.mark.parametrize("flag, value", [("--taxonomy", "three"), ("--taxonomy", "six"), ("--scoring", "single")])
+    def test_eval_experiment_with_taxonomy_or_scoring_is_fatal(self, capsys, corpus, flag, value):
+        argv = ["eval", "--manifest", str(corpus / "manifest.jsonl"), "--predictor", "echo", "--experiment", "A"]
+        code, out, err = run_cli(capsys, *argv, flag, value)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: --experiment ") and flag in err
+
+    def test_eval_detector_lenient_matching_flag(self, capsys, tmp_path):
+        # Every postUpdate cascade variant of the bundled seeds is a strict miss.
+        corpus = tmp_path / "pu"
+        code, _, _ = run_cli(capsys, "mutate", "--out-dir", str(corpus), "--post-update-cascades", "--operators", "STC,WTC")
+        assert code == 0
+        eval_args = ("eval", "--manifest", str(corpus / "manifest.jsonl"), "--predictor", "detector")
+        _, strict_out, _ = run_cli(capsys, *eval_args)
+        _, flag_out, _ = run_cli(capsys, *eval_args, "--lenient-matching")
+        assert strict_out.splitlines()[2].endswith("| 0.00%")
+        assert flag_out.splitlines()[2].endswith("| 100.00%")
+        assert flag_out.splitlines()[-1] == "samples: 140, parse failures: 0"
+
 
 class TestAdjudicateCommand:
     @pytest.fixture()
@@ -277,15 +308,18 @@ class TestAdjudicateCommand:
 
 class TestConfig:
     def test_defaults(self):
-        config = ToolConfig()
-        assert config.strict_event_matching is True
-        assert config.routed_set == ("WAC", "WTC")
+        from ritkit.hybrid import DEFAULT_ROUTED_SET
+
+        assert ToolConfig().backend is None
+        assert DEFAULT_ROUTED_SET == {FineCategory.WAC, FineCategory.WTC}
+        for command in ("detect", "adjudicate"):
+            args = build_arg_parser().parse_args([command, "x"])
+            assert args.format == "text" and getattr(args, "lenient_matching", False) is False
 
     def test_load_and_reject_unknown_keys(self, tmp_path):
         good = tmp_path / "good.json"
-        good.write_text(json.dumps({"strict_event_matching": False, "format": "structured"}), encoding="utf-8")
-        config = load_config(good)
-        assert config.strict_event_matching is False and config.format == "structured"
+        good.write_text(json.dumps({"backend": self.BACKEND}), encoding="utf-8")
+        assert load_config(good) == ToolConfig(BackendConfig(**self.BACKEND))
 
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"strict_matching": True}), encoding="utf-8")
@@ -302,50 +336,30 @@ class TestConfig:
             load_config(path)
 
     def test_bad_category_rejected(self, tmp_path):
+        # The routed set is `adjudicate --routed` alone; a config that names one is rejected whole.
         path = tmp_path / "cats.json"
         path.write_text(json.dumps({"routed_set": ["WAC", "XYZ"]}), encoding="utf-8")
-        with pytest.raises(ConfigError, match="XYZ"):
+        with pytest.raises(ConfigError, match="^unknown config keys: routed_set$"):
             load_config(path)
 
-    def test_detect_respects_config_file(self, capsys, tmp_path):
-        rules = tmp_path / "pu.rules"
-        rules.write_text(
-            'rule "poster"\nwhen\n    System started\nthen\n    postUpdate(Relay, ON)\nend\n'
-            'rule "listener"\nwhen\n    Item Relay received command\nthen\n    sendCommand(Siren, ON)\nend\n',
-            encoding="utf-8",
-        )
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"strict_event_matching": False}), encoding="utf-8")
-        strict_code, _, _ = run_cli(capsys, "detect", str(rules))
-        lenient_code, out, _ = run_cli(capsys, "detect", str(rules), "--config", str(config))
-        assert strict_code == 0 and lenient_code == 1
-        assert "STC" in out
-
-    def test_eval_detector_respects_config_file(self, capsys, tmp_path):
-        # Every postUpdate cascade variant of the bundled seeds is a strict miss.
-        corpus = tmp_path / "pu"
-        code, _, _ = run_cli(capsys, "mutate", "--out-dir", str(corpus), "--post-update-cascades", "--operators", "STC,WTC")
-        assert code == 0
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"strict_event_matching": False}), encoding="utf-8")
-        eval_args = ("eval", "--manifest", str(corpus / "manifest.jsonl"), "--predictor", "detector")
-        _, strict_out, _ = run_cli(capsys, *eval_args)
-        _, config_out, _ = run_cli(capsys, *eval_args, "--config", str(config))
-        _, flag_out, _ = run_cli(capsys, *eval_args, "--lenient-matching")
-        assert strict_out.splitlines()[2].endswith("| 0.00%")
-        assert config_out == flag_out and flag_out.splitlines()[2].endswith("| 100.00%")
-        assert flag_out.splitlines()[-1] == "samples: 140, parse failures: 0"
+    def test_detect_takes_no_config(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"backend": self.BACKEND}), encoding="utf-8")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["detect", str(BENIGN), "--config", str(path)])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
 
     BACKEND = {"endpoint": "http://localhost:1/v1/chat/completions", "model": "m"}
 
     @pytest.mark.parametrize(
         "doc, message",
         [
-            ({"strict_event_matching": "false"}, "strict_event_matching must be true or false"),
-            ({"strict_event_matching": 0}, "strict_event_matching must be true or false"),
-            ({"routed_set": 5}, "routed_set must be a JSON list"),
-            ({"routed_set": "WAC"}, "routed_set must be a JSON list"),
-            ({"routed_set": ["WAC", 5]}, "routed_set must be a JSON list"),
+            ({"strict_event_matching": "false"}, "unknown config keys: strict_event_matching"),
+            ({"strict_event_matching": 0}, "unknown config keys: strict_event_matching"),
+            ({"routed_set": 5}, "unknown config keys: routed_set"),
+            ({"routed_set": "WAC"}, "unknown config keys: routed_set"),
+            ({"routed_set": ["WAC", 5]}, "unknown config keys: routed_set"),
             ({"backend": {**BACKEND, "rate_limit_per_sec": -1}}, "rate_limit_per_sec must be null, 0 or positive"),
             ({"backend": {**BACKEND, "rate_limit_per_sec": "2"}}, "rate_limit_per_sec must be null or a number"),
             ({"backend": {**BACKEND, "timeout": "5"}}, "timeout must be a number"),
@@ -359,6 +373,7 @@ class TestConfig:
             ({"backend": {**BACKEND, "backoff_base": float("nan")}}, "backoff_base must be a number"),
             ({"backend": {**BACKEND, "timeout": float("inf")}}, "timeout must be a number"),
             ({"backend": {**BACKEND, "rate_limit_per_sec": float("inf")}}, "rate_limit_per_sec must be null or a number"),
+            ({"format": "structured", "backend": BACKEND}, "unknown config keys: format"),
         ],
     )
     def test_values_must_have_their_json_type(self, capsys, tmp_path, doc, message):
@@ -366,7 +381,9 @@ class TestConfig:
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(ConfigError, match=message):
             load_config(path)
-        code, out, err = run_cli(capsys, "detect", str(BENIGN), "--config", str(path))
+        report = tmp_path / "report.json"
+        run_cli(capsys, "detect", str(BENIGN), "--format", "structured", "--out", str(report))
+        code, out, err = run_cli(capsys, "adjudicate", str(report), "--stub", "accept-all", "--config", str(path))
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and err.startswith("error: ") and message in err
 
@@ -374,9 +391,8 @@ class TestConfig:
     def test_no_rate_limit_or_a_positive_one_loads(self, tmp_path, limit):
         path = tmp_path / "config.json"
         backend = {**self.BACKEND, "rate_limit_per_sec": limit, "timeout": 5, "max_retries": 0}
-        path.write_text(json.dumps({"backend": backend, "routed_set": []}), encoding="utf-8")
-        config = load_config(path)
-        assert config.backend.rate_limit_per_sec == limit and config.routed_set == ()
+        path.write_text(json.dumps({"backend": backend}), encoding="utf-8")
+        assert load_config(path).backend.rate_limit_per_sec == limit
 
 
 class TestStartUp:
@@ -400,7 +416,7 @@ class TestStartUp:
     @pytest.mark.parametrize(
         "argv, not_loaded",
         [
-            (["detect", str(BENIGN)], {"mutate", "evaluate", "hybrid", "client", "prompts"}),
+            (["detect", str(BENIGN)], {"config", "mutate", "evaluate", "hybrid", "client", "prompts"}),
             (["mutate", str(BENIGN), "--out-dir", "{out}", "--operators", "SAC"], {"evaluate", "hybrid", "client", "prompts"}),
             (["eval", "--manifest", "{manifest}", "--predictor", "detector"], {"hybrid", "client"}),
             (["adjudicate", "{report}", "--stub", "accept-all"], {"mutate", "evaluate"}),
@@ -453,7 +469,7 @@ class TestHelp:
     def test_every_flag_is_documented(self, capsys):
         parser = build_arg_parser()
         expected = {
-            "detect": ["--format", "--out", "--lenient-matching", "--config"],
+            "detect": ["--format", "--out", "--lenient-matching"],
             "mutate": ["--out-dir", "--operators", "--strategy", "--sample-n", "--rng-seed", "--post-update-cascades"],
             "adjudicate": ["--stub", "--routed", "--audit-log", "--format", "--out", "--config"],
             "eval": [
@@ -467,6 +483,7 @@ class TestHelp:
                 "--shots",
                 "--lenient-matching",
                 "--per-instance-log",
+                "--config",
             ],
         }
         subparsers = next(
@@ -662,6 +679,51 @@ class TestExitCodeContract:
         code, _, err = run_cli(capsys, "adjudicate", str(report_path), "--stub", f"table:{table}")
         assert code == 2
         assert err.startswith("error: KeyError: ") and err.count("\n") == 1
+
+    REF = "must be an object with string id and text"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: [1], "not a JSON object"),
+            (lambda doc: {"schema_version": 1, "file": "x", "findings": "abc"}, "findings must be a list"),
+            (lambda doc: doc["findings"][0].__delitem__("rule_a"), "finding 0: missing key 'rule_a'"),
+            (lambda doc: doc.update(file=5), "file must be a string"),
+            (
+                lambda doc: doc["findings"][1].update(rule_b={"id": "r2"}),
+                "finding 1: rule_b must be an object with string id and name",
+            ),
+            (lambda doc: doc["findings"][0].update(triggers_a={}), "finding 0: triggers_a must be a list"),
+            (lambda doc: doc["findings"][0]["conditions_b"].append("c1"), f"finding 0: conditions_b {REF}"),
+            (lambda doc: doc["findings"][0].update(action_a=[]), f"finding 0: action_a {REF}"),
+            (
+                lambda doc: doc["findings"][0].update(threat_pair=["r1a1"]),
+                "finding 0: threat_pair must be a list of two strings",
+            ),
+            (
+                lambda doc: doc["findings"][0].update(action_b=None),
+                "finding 0: action_b must not be null in a WAC finding",
+            ),
+            (
+                lambda doc: doc["findings"][2].update(trigger_b=None),
+                "finding 2: trigger_b must not be null in a WTC finding",
+            ),
+            (lambda doc: doc["findings"][0].update(description=None), "finding 0: description must be a string"),
+            (lambda doc: doc["findings"][0].update(category="XYZ"), "finding 0: 'XYZ' is not a valid FineCategory"),
+        ],
+        ids=[
+            "list", "findings-string", "no-rule_a", "file-number", "rule-id-only", "triggers-object",
+            "condition-string", "action-list", "short-pair", "ac-without-action_b", "tc-without-trigger_b",
+            "no-description", "bad-category",
+        ],
+    )
+    def test_bad_report_is_named(self, capsys, tmp_path, report_path, edit, message):
+        doc = json.loads(report_path.read_text(encoding="utf-8"))
+        doc = edit(doc) or doc
+        report = tmp_path / "c.json"
+        report.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "adjudicate", str(report), "--stub", "accept-all")
+        assert (code, out, err) == (2, "", f"error: cannot load report {report}: {message}\n")
 
     def test_unknown_routed_category_is_fatal(self, capsys, report_path):
         code, out, err = run_cli(capsys, "adjudicate", str(report_path), "--stub", "accept-all", "--routed", "WAC,BOGUS")

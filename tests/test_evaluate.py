@@ -32,7 +32,7 @@ from ritkit.evaluate import (
     score_prediction,
 )
 from ritkit.mutate import MutantManifest, MutantRecord
-from ritkit.prompts import FINE_LABELS, ParseFailure, PromptTemplate
+from ritkit.prompts import FINE_LABELS, ParseFailure
 from ritkit.records import dump_records, read_records
 
 MULTI = ExperimentConfig("six", True)
@@ -200,7 +200,7 @@ class TestRunExperiment:
         row, logs = run_experiment(MULTI, [miss], detector_predictor("six"))
         assert row.parse_failures == 0 and not logs[0].correct
 
-        blind = backend_predictor(PromptTemplate(0, "six", True), StubBackend(constant="SAC"))
+        blind = backend_predictor(ExperimentConfig(), StubBackend(constant="SAC"))
         assert blind(instance) == ("SAC",)
 
 
@@ -216,14 +216,14 @@ class TestBackendPredictorGivesUp:
 
     def test_backend_down_throughout_is_called_once(self, dataset):
         backend = StubBackend()  # every call fails as unavailable
-        row, logs = run_experiment(MULTI, dataset, backend_predictor(PromptTemplate(), backend))
+        row, logs = run_experiment(MULTI, dataset, backend_predictor(ExperimentConfig(), backend))
         assert len(backend.calls) == 1
         assert [log.failure for log in logs] == ["backend:unavailable"] * len(dataset)
         assert row.parse_failures == len(dataset)
 
     def test_outage_after_the_first_instance_keeps_its_label(self, dataset):
         backend = StubBackend(responses=["SAC"])  # one answer, then unavailable
-        row, logs = run_experiment(MULTI, dataset, backend_predictor(PromptTemplate(), backend))
+        row, logs = run_experiment(MULTI, dataset, backend_predictor(ExperimentConfig(), backend))
         assert len(backend.calls) == 2
         assert logs[0].labels == ("SAC",) and logs[0].correct and logs[0].failure is None
         assert [log.failure for log in logs[1:]] == ["backend:unavailable"] * (len(dataset) - 1)
@@ -232,7 +232,7 @@ class TestBackendPredictorGivesUp:
         backend = StubBackend()  # every call fails as unavailable
         Path(dataset[2].source).unlink()
         with pytest.raises(FileNotFoundError):
-            run_experiment(MULTI, dataset, backend_predictor(PromptTemplate(), backend))
+            run_experiment(MULTI, dataset, backend_predictor(ExperimentConfig(), backend))
         assert len(backend.calls) == 1
 
 

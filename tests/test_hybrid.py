@@ -17,7 +17,7 @@ from ritkit.hybrid import (
     run_pipeline,
     subtasks_for,
 )
-from ritkit.prompts import ParseFailure, PromptTemplate
+from ritkit.prompts import ExperimentConfig, ParseFailure
 from ritkit.records import dump_records
 from ritkit.report import render_text
 
@@ -285,22 +285,22 @@ class TestModelAdjudicator:
 class TestRecoverNegatives:
     def test_stub_echo_recovers_label(self):
         backend = StubBackend(constant="SCC")
-        labels = recover_negatives(MIXED_RULESET, PromptTemplate(0, "six", True), backend)
+        labels = recover_negatives(MIXED_RULESET, ExperimentConfig(), backend)
         assert labels == ("SCC",)
         # The blind prompt contains no detector evidence markers.
         assert "THREAT PAIR" not in backend.calls[0]
 
     def test_blank_response_is_a_parse_failure(self):
         backend = StubBackend(constant="   ")
-        result = recover_negatives(MIXED_RULESET, PromptTemplate(0, "six", True), backend)
+        result = recover_negatives(MIXED_RULESET, ExperimentConfig(), backend)
         assert isinstance(result, ParseFailure) and result.kind == "blank"
 
     def test_backend_error_is_named_by_its_class(self):
         backend = StubBackend()  # no scripted responses: the call fails as unavailable
-        result = recover_negatives(MIXED_RULESET, PromptTemplate(0, "six", True), backend)
+        result = recover_negatives(MIXED_RULESET, ExperimentConfig(), backend)
         assert result == ParseFailure("backend:unavailable", "")
 
     def test_single_mode_passes_through(self):
         backend = StubBackend(constant="WAC, SCC")
-        result = recover_negatives(MIXED_RULESET, PromptTemplate(0, "six", False), backend)
+        result = recover_negatives(MIXED_RULESET, ExperimentConfig(multi_response=False), backend)
         assert isinstance(result, ParseFailure) and result.kind == "ambiguous"

@@ -12,8 +12,8 @@ from ritkit.prompts import (
     PARSE_FAILURE_AMBIGUOUS,
     PARSE_FAILURE_BLANK,
     PARSE_FAILURE_NO_LABEL,
+    ExperimentConfig,
     ParseFailure,
-    PromptTemplate,
     build_prompt,
     parse_model_response,
     scan_labels,
@@ -30,10 +30,10 @@ class TestBuildPrompt:
     @pytest.mark.parametrize(
         "name,template",
         [
-            ("zero_shot_six_multi", PromptTemplate(0, "six", True)),
-            ("one_shot_six_multi", PromptTemplate(1, "six", True)),
-            ("two_shot_six_single", PromptTemplate(2, "six", False)),
-            ("zero_shot_three_single", PromptTemplate(0, "three", False)),
+            ("zero_shot_six_multi", ExperimentConfig(taxonomy="six", multi_response=True, shots=0)),
+            ("one_shot_six_multi", ExperimentConfig(taxonomy="six", multi_response=True, shots=1)),
+            ("two_shot_six_single", ExperimentConfig(taxonomy="six", multi_response=False, shots=2)),
+            ("zero_shot_three_single", ExperimentConfig(taxonomy="three", multi_response=False, shots=0)),
         ],
     )
     def test_prompts_match_goldens(self, name, template, golden_dir, data_dir):
@@ -41,13 +41,13 @@ class TestBuildPrompt:
         assert build_prompt(template, fixture_ruleset(data_dir)) == golden
 
     def test_zero_shot_has_definitions_but_no_examples(self, data_dir):
-        prompt = build_prompt(PromptTemplate(0, "six", True), fixture_ruleset(data_dir))
+        prompt = build_prompt(ExperimentConfig(), fixture_ruleset(data_dir))
         assert "Weak Action Contradiction (WAC)" in prompt
         assert "Strong Action Contradiction (SAC)" in prompt
         assert "Example:" not in prompt.split("OUTPUT FORMAT")[0]
 
     def test_one_shot_embeds_carbon_monoxide_example(self, data_dir):
-        prompt = build_prompt(PromptTemplate(1, "six", True), fixture_ruleset(data_dir))
+        prompt = build_prompt(ExperimentConfig(shots=1), fixture_ruleset(data_dir))
         assert 'rule "Carbon Monoxide Alert"' in prompt
         for label in FINE_LABELS:
             assert f"({label})" in prompt
@@ -55,39 +55,39 @@ class TestBuildPrompt:
 
     def test_two_shot_is_strictly_longer_than_one_shot(self, data_dir):
         text = fixture_ruleset(data_dir)
-        one = build_prompt(PromptTemplate(1, "six", True), text)
-        two = build_prompt(PromptTemplate(2, "six", True), text)
+        one = build_prompt(ExperimentConfig(shots=1), text)
+        two = build_prompt(ExperimentConfig(shots=2), text)
         assert len(two) > len(one)
         assert two.count("Example 2:") == 6
 
     def test_output_format_asks_for_acronyms(self, data_dir):
         text = fixture_ruleset(data_dir)
-        multi = build_prompt(PromptTemplate(0, "six", True), text)
+        multi = build_prompt(ExperimentConfig(), text)
         assert "Return only the 3-letter acronyms" in multi
         assert "Example: WAC,STC" in multi
-        single = build_prompt(PromptTemplate(0, "six", False), text)
+        single = build_prompt(ExperimentConfig(multi_response=False), text)
         assert "single 3-letter acronym" in single
-        three = build_prompt(PromptTemplate(0, "three", True), text)
+        three = build_prompt(ExperimentConfig(taxonomy="three"), text)
         assert "2-letter acronyms" in three and "Example: AC,TC" in three
 
     def test_ruleset_is_appended_after_task_line(self, data_dir):
         text = fixture_ruleset(data_dir)
-        prompt = build_prompt(PromptTemplate(0, "six", True), text)
+        prompt = build_prompt(ExperimentConfig(), text)
         assert prompt.endswith(f"The rules that you must analyze are:\n{text}")
 
     def test_byte_determinism(self):
-        t = PromptTemplate(2, "three", False)
+        t = ExperimentConfig(taxonomy="three", multi_response=False, shots=2)
         assert build_prompt(t, RULESET) == build_prompt(t, RULESET)
 
     def test_empty_ruleset_rejected(self):
         with pytest.raises(ValueError):
-            build_prompt(PromptTemplate(0, "six", True), "   \n")
+            build_prompt(ExperimentConfig(), "   \n")
 
     def test_template_validation(self):
         with pytest.raises(ValueError):
-            PromptTemplate(3, "six", True)
+            ExperimentConfig(shots=3)
         with pytest.raises(ValueError):
-            PromptTemplate(0, "nine", True)
+            ExperimentConfig(taxonomy="nine")
 
 
 class TestParseModelResponse:
