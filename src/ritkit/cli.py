@@ -191,7 +191,10 @@ def _reconcile(args: argparse.Namespace, adjudicator, jobs: int) -> int:
         routed = frozenset(FineCategory(name) for name in args.routed.split(",")) if args.routed else DEFAULT_ROUTED_SET
     except ValueError as exc:
         return _fail(f"unknown category: {exc}")
-    result = run_pipeline(report, adjudicator, routed, jobs)
+    try:
+        result = run_pipeline(report, adjudicator, routed, jobs)
+    except KeyError as exc:  # a table stub without an entry for a routed finding
+        return _fail(f"{args.stub.removeprefix('table:')}: {exc.args[0]}")
 
     if args.audit_log:
         Path(args.audit_log).write_text(dump_records(result.audit), encoding="utf-8")
@@ -250,6 +253,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     from .prompts import BACKEND_FAILURE, ExperimentConfig
     from .records import dump_records, read_records
 
+    if args.predictions and args.predictor:
+        return _fail("--predictions and --predictor are exclusive; pass one")
     overridden = [flag for flag, value in (("--taxonomy", args.taxonomy), ("--scoring", args.scoring)) if value]
     if args.experiment and overridden:
         return _fail(f"--experiment sets the taxonomy and scoring; drop {' and '.join(overridden)}")
@@ -301,6 +306,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     try:
         row, logs = run_experiment(config, dataset, predictor, BACKEND_JOBS if backend else 1)
+    except OSError as exc:  # an instance file the manifest names
+        return _fail(f"cannot read instance file {exc.filename}: {exc.strerror}")
     finally:
         if backend is not None:
             backend.close()

@@ -13,13 +13,13 @@ them.
 
 The client retries 429/503 responses, transport timeouts, refused or dropped
 connections and blank or malformed bodies with exponential backoff plus
-bounded jitter; other 4xx statuses terminate immediately. API keys come only
-from environment variables.
+bounded jitter; other 4xx statuses terminate immediately. A call that gives
+up raises `prompts.BackendError`, the LLM stage's outage signal. API keys
+come only from environment variables.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import random
@@ -27,6 +27,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
+
+from .prompts import BackendError
 
 if TYPE_CHECKING:
     import http.client
@@ -45,17 +47,6 @@ ERROR_INVALID_REQUEST = "invalid-request"
 
 _NON_RETRYABLE = {ERROR_AUTH, ERROR_INVALID_REQUEST}
 
-_request_counter = itertools.count(1)
-
-
-class BackendError(Exception):
-    """All retry attempts consumed (or a non-retryable failure)."""
-
-    def __init__(self, error_class: str, record: "CallRecord"):
-        super().__init__(f"backend exhausted: {error_class}")
-        self.error_class = error_class
-        self.record = record
-
 
 @dataclass(frozen=True)
 class Attempt:
@@ -66,10 +57,7 @@ class Attempt:
 
 @dataclass
 class CallRecord:
-    request_id: int
     attempts: list[Attempt] = field(default_factory=list)
-    final_status: str = "pending"  # "ok" | "exhausted"
-    final_error_class: str | None = None
 
 
 class TokenBucket:
@@ -207,7 +195,7 @@ def complete(
     """
     import http.client
 
-    record = CallRecord(request_id=next(_request_counter))
+    record = CallRecord()
     own_connection = connection is None
     if connection is None:
         connection = Connection(config.endpoint, config.timeout)
@@ -252,7 +240,6 @@ def complete(
 
             record.attempts.append(Attempt(status, time.monotonic() - start, error_class))
             if content is not None:
-                record.final_status = "ok"
                 return content, record
 
             retryable = error_class not in _NON_RETRYABLE and (
@@ -261,10 +248,7 @@ def complete(
                 or (error_class == ERROR_UNAVAILABLE and status is None)
             )
             if not retryable or attempt == config.max_retries:
-                terminal = ERROR_MALFORMED if error_class == ERROR_BLANK else error_class
-                record.final_status = "exhausted"
-                record.final_error_class = terminal
-                raise BackendError(terminal, record)
+                raise BackendError(ERROR_MALFORMED if error_class == ERROR_BLANK else error_class, record)
 
             # Exponential backoff with jitter bounded by the base delay, so
             # attempt k+1's scheduled delay never undercuts attempt k's base.
@@ -309,10 +293,6 @@ class HttpBackend:
         with self.lock:
             for connection in self.idle:
                 connection.close()
-
-
-class AdjudicatorUnavailable(Exception):
-    """Raised by adjudicators when their backend is exhausted."""
 
 
 class StubAdjudicator:

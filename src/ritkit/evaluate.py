@@ -8,7 +8,7 @@ over total samples), never an average of per-class recalls.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +17,7 @@ from typing import Callable, Iterable, TypeVar
 from .detector import FineCategory, aggregate
 from .mutate import MutantManifest
 from .ordered import ordered_map
-from .prompts import BACKEND_FAILURE, ExperimentConfig, ParseFailure
+from .prompts import BACKEND_FAILURE, BackendError, ExperimentConfig, ParseFailure
 from .records import read_records
 
 Prediction = tuple[str, ...] | ParseFailure
@@ -121,44 +121,6 @@ def score_prediction(pred: Prediction, truth: str, config: ExperimentConfig) -> 
     return len(pred) == 1 and pred[0] == truth
 
 
-@dataclass
-class ConfusionTally:
-    per_class: dict[str, list[int]] = field(default_factory=dict)  # label -> [correct, total]
-    parse_failures: int = 0
-
-    def add(self, truth: str, correct: bool, failed: bool = False) -> None:
-        cell = self.per_class.setdefault(truth, [0, 0])
-        cell[1] += 1
-        if correct:
-            cell[0] += 1
-        if failed:
-            self.parse_failures += 1
-
-    @property
-    def total(self) -> int:
-        return sum(total for _, total in self.per_class.values())
-
-    @property
-    def correct(self) -> int:
-        return sum(correct for correct, _ in self.per_class.values())
-
-
-def per_class_recall(tally: ConfusionTally) -> dict[str, Fraction]:
-    """correct/total per class; classes with zero total are omitted."""
-    return {
-        label: Fraction(correct, total)
-        for label, (correct, total) in tally.per_class.items()
-        if total > 0
-    }
-
-
-def micro_accuracy(tally: ConfusionTally) -> Fraction:
-    """Total correct over total samples (not an average of recalls)."""
-    if tally.total == 0:
-        raise ValueError("micro accuracy is undefined on an empty dataset")
-    return Fraction(tally.correct, tally.total)
-
-
 def recall(tp: int, fn: int) -> Fraction | None:
     """TP / (TP + FN); None when the denominator is zero."""
     if tp + fn == 0:
@@ -238,19 +200,12 @@ def detector_predictor(taxonomy: str = "six", strict: bool = True) -> Predictor:
 def backend_predictor(config: ExperimentConfig, backend) -> Predictor:
     """Blind classification through a text backend (hybrid recovery mode).
 
-    A backend that gives up yields the parse failure `backend:<error_class>`;
-    `run_experiment` then makes no further call.
+    A backend that gives up raises `BackendError`, and `run_experiment` then
+    makes no further call.
     """
     from .hybrid import recover_negatives
 
     return lambda entry: recover_negatives(Path(entry.source).read_text(encoding="utf-8"), config, backend)
-
-
-class _Outage(Exception):
-    """A `backend:<error_class>` prediction, raised to stop new calls."""
-
-    def __init__(self, pred: ParseFailure):
-        self.pred = pred
 
 
 def run_experiment(
@@ -262,55 +217,46 @@ def run_experiment(
     """Score every instance; the log is sufficient to recompute all metrics.
 
     Up to `jobs` predictions run at once (see `ordered.ordered_map`). The
-    first `backend:<error_class>` prediction in dataset order stops new ones:
-    every later instance gets that failure without a call, though its file is
-    still read, so a missing one still propagates. A predictor error (say, an
-    unreadable instance file) propagates: a broken corpus must not score as a
-    weak model.
+    first `BackendError` in dataset order stops new ones: that instance and
+    every later one score as the parse failure `backend:<error_class>`
+    without a call, though each later file is still read, so a missing one
+    still propagates. Any other predictor error (say, an unreadable instance
+    file) propagates: a broken corpus must not score as a weak model.
     """
-
-    def predict(entry: GroundTruthEntry) -> Prediction:
-        pred = predictor(entry)
-        if isinstance(pred, ParseFailure) and pred.kind.startswith(BACKEND_FAILURE):
-            raise _Outage(pred)
-        return pred
-
     preds: list[Prediction] = []
     try:
-        for pred in ordered_map(predict, dataset, jobs):
+        for pred in ordered_map(predictor, dataset, jobs):
             preds.append(pred)
-    except _Outage as outage:
+    except BackendError as exc:
         for entry in dataset[len(preds) + 1 :]:
             Path(entry.source).read_text(encoding="utf-8")
-        preds += [outage.pred] * (len(dataset) - len(preds))
+        preds += [ParseFailure(f"{BACKEND_FAILURE}{exc.error_class}", "")] * (len(dataset) - len(preds))
 
     logs: list[InstanceLog] = []
     for entry, pred in zip(dataset, preds):
         truth = entry.label(config.taxonomy)
-        correct = score_prediction(pred, truth, config)
-        failed = isinstance(pred, ParseFailure)
-        logs.append(
-            InstanceLog(
-                instance_id=entry.instance_id,
-                truth=truth,
-                labels=None if failed else tuple(pred),
-                failure=pred.kind if failed else None,
-                correct=correct,
-            )
-        )
+        labels, failure = (None, pred.kind) if isinstance(pred, ParseFailure) else (tuple(pred), None)
+        logs.append(InstanceLog(entry.instance_id, truth, score_prediction(pred, truth, config), labels, failure))
     return metrics_from_logs(logs), logs
 
 
 def metrics_from_logs(logs: Iterable[InstanceLog]) -> MetricsRow:
-    """Recompute a MetricsRow from a per-instance log (replay)."""
-    tally = ConfusionTally()
+    """Recall per class with samples, micro accuracy and counts, in one pass over a per-instance log."""
+    cells: dict[str, list[int]] = {}  # truth label -> [correct, total]
+    parse_failures = 0
     for log in logs:
-        tally.add(log.truth, log.correct, log.failure is not None)
+        cell = cells.setdefault(log.truth, [0, 0])
+        cell[0] += log.correct
+        cell[1] += 1
+        parse_failures += log.failure is not None
+    total = sum(n for _, n in cells.values())
+    if total == 0:
+        raise ValueError("micro accuracy is undefined on an empty dataset")
     return MetricsRow(
-        per_class=per_class_recall(tally),
-        overall=micro_accuracy(tally),
-        parse_failures=tally.parse_failures,
-        total=tally.total,
+        per_class={label: Fraction(correct, n) for label, (correct, n) in cells.items()},
+        overall=Fraction(sum(correct for correct, _ in cells.values()), total),
+        parse_failures=parse_failures,
+        total=total,
     )
 
 

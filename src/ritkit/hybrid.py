@@ -6,8 +6,9 @@ A routed one is decomposed into subtasks that a pluggable adjudicator
 answers, several at once if asked to; every answer goes to the audit log in
 report order, so a NO does not cut the remaining subtasks short. The finding
 is kept when every subtask upholds it and discarded otherwise. An
-adjudicator outage fails open: the finding is kept and its key flagged, and
-so is every routed finding after it, without asking the adjudicator again.
+adjudicator that raises `BackendError` fails open: the finding is kept and
+its key flagged, and so is every routed finding after it, without asking the
+adjudicator again. Blind recovery lets that error propagate.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Protocol
 
-from .client import AdjudicatorUnavailable, BackendError
 from .detector import CoarseCategory, FineCategory, Finding, FindingReport, finding_key
 from .ordered import ordered_map
-from .prompts import BACKEND_FAILURE, ExperimentConfig, ParseFailure, build_prompt, parse_model_response, scan_labels
+from .prompts import BackendError, ExperimentConfig, ParseFailure, build_prompt, parse_model_response, scan_labels
 
 DEFAULT_ROUTED_SET = frozenset({FineCategory.WAC, FineCategory.WTC})
 
@@ -94,6 +94,8 @@ class AuditRecord:
 
 
 class SubtaskAdjudicator(Protocol):
+    """Answers a subtask: (uphold, raw answer). Like a predictor, it signals an outage by raising `BackendError`."""
+
     def answer_subtask(self, finding_key: str, subtask_kind: str, payload: str) -> tuple[bool, str]: ...
 
 
@@ -104,10 +106,7 @@ class ModelAdjudicator:
         self.backend = backend
 
     def answer_subtask(self, finding_key: str, subtask_kind: str, payload: str) -> tuple[bool, str]:
-        try:
-            response = self.backend.complete(payload)
-        except BackendError as exc:
-            raise AdjudicatorUnavailable(str(exc)) from exc
+        response = self.backend.complete(payload)
         # Only a clear NO discards; an unreadable or ambiguous answer keeps the
         # finding (the symbolic phase's recall wins).
         return scan_labels(response, ("YES", "NO"), multi_allowed=False) != ("NO",), response
@@ -148,7 +147,7 @@ def run_pipeline(
         for (ok, raw), (i, key, subtask) in zip(answers, asks):
             audit.append(AuditRecord(key, subtask.kind.value, raw, ok))
             upheld[i] = upheld.get(i, True) and ok
-    except AdjudicatorUnavailable:
+    except BackendError:
         gave_up_at = asks[len(audit)][0]
 
     kept: list[Finding] = []
@@ -171,13 +170,6 @@ def run_pipeline(
 
 
 def recover_negatives(ruleset_text: str, config: ExperimentConfig, backend) -> tuple[str, ...] | ParseFailure:
-    """Classify a ruleset with no detector evidence attached.
-
-    A backend that gives up yields the parse failure `backend:<error_class>`.
-    """
-    prompt = build_prompt(config, ruleset_text)
-    try:
-        response = backend.complete(prompt)
-    except BackendError as exc:
-        return ParseFailure(f"{BACKEND_FAILURE}{exc.error_class}", "")
+    """Classify a ruleset with no detector evidence attached; a backend that gives up raises `BackendError`."""
+    response = backend.complete(build_prompt(config, ruleset_text))
     return parse_model_response(response, config.taxonomy, config.multi_response)

@@ -1,8 +1,10 @@
-"""Experiment cells, prompt assembly and model-response label extraction.
+"""Experiment cells, prompt assembly and the outcomes of a model call.
 
 Prompts are built byte-deterministically from text assets: a fixed
 preamble, per-category definition blocks with zero, one or two embedded
-examples, an output-format section and the ruleset under analysis.
+examples, an output-format section and the ruleset under analysis. A model
+answer becomes labels or a `ParseFailure`; a backend that gives up raises
+`BackendError`.
 """
 
 from __future__ import annotations
@@ -11,11 +13,16 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from typing import TYPE_CHECKING
 
-FINE_LABELS = ("WAC", "SAC", "WTC", "STC", "WCC", "SCC")
-COARSE_LABELS = ("AC", "TC", "CC")
+from .detector import CoarseCategory, FineCategory, aggregate
 
-_FAMILY_MEMBERS = {"AC": ("WAC", "SAC"), "TC": ("WTC", "STC"), "CC": ("WCC", "SCC")}
+if TYPE_CHECKING:
+    from .client import CallRecord
+
+FINE_LABELS = tuple(fine.value for fine in FineCategory)
+COARSE_LABELS = tuple(family.value for family in CoarseCategory)
+_FAMILY_MEMBERS = {c.value: tuple(f.value for f in FineCategory if aggregate(f) is c) for c in CoarseCategory}
 
 # Three-class example slots borrow the weak then strong member example.
 _THREE_EXAMPLES = {
@@ -134,6 +141,15 @@ BACKEND_FAILURE = "backend:"  # prefix of the kind of a failed backend call: "ba
 class ParseFailure:
     kind: str
     raw: str
+
+
+class BackendError(Exception):
+    """A backend call gave up: the LLM stage's one outage signal, caught where each pipeline gives up."""
+
+    def __init__(self, error_class: str, record: CallRecord):
+        super().__init__(f"backend exhausted: {error_class}")
+        self.error_class = error_class
+        self.record = record
 
 
 _WORD_RE = re.compile(r"[A-Za-z]+")

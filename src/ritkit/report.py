@@ -165,8 +165,9 @@ def report_from_json(obj: Any) -> FindingReport:
     """A report from its JSON form; a bad one is a ValueError that names the key and the finding."""
     if not isinstance(obj, dict):
         raise ValueError("not a JSON object")
-    if obj.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported report schema version: {obj.get('schema_version')!r}")
+    version = obj.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:  # true and 1.0 equal 1 but are not version 1
+        raise ValueError(f"unsupported report schema version: {version!r}")
     if not isinstance(obj.get("file"), str):
         raise ValueError("file must be a string")
     findings = []

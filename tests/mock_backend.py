@@ -152,4 +152,4 @@ class StubBackend:
             return self.responses.pop(0)
         if self.constant is not None:
             return self.constant
-        raise BackendError(ERROR_UNAVAILABLE, CallRecord(request_id=0))
+        raise BackendError(ERROR_UNAVAILABLE, CallRecord())

@@ -29,12 +29,11 @@ from ritkit.detector import (
     finding_key,
 )
 from ritkit.evaluate import (
-    ConfusionTally,
     ExperimentConfig,
+    InstanceLog,
     format_percent,
     hybrid_precision,
-    micro_accuracy,
-    per_class_recall,
+    metrics_from_logs,
     recall,
     score_prediction,
 )
@@ -101,10 +100,7 @@ def test_criterion_2_report_golden_file():
 
 
 def test_criterion_3_metrics_oracle():
-    tally = ConfusionTally()
-    for i in range(2495):
-        tally.add("CC", i < 2188)
-    accuracy = micro_accuracy(tally)
+    accuracy = metrics_from_logs(InstanceLog(f"i{i}", "CC", i < 2188) for i in range(2495)).overall
     assert format_percent(accuracy) == "87.70%"
     assert abs(accuracy - Fraction(8770, 10000)) * 100 < Fraction(1, 100)
 
@@ -228,7 +224,7 @@ def test_criterion_7_scoring_properties():
     rng = random.Random(424242)
     multi_config = ExperimentConfig("six", True)
     single_config = ExperimentConfig("six", False)
-    tally = ConfusionTally()
+    logs = []
     violations = 0
     for _ in range(10_000):
         truth = rng.choice(FINE_LABELS)
@@ -241,12 +237,13 @@ def test_criterion_7_scoring_properties():
         multi = score_prediction(pred, truth, multi_config)
         if single and not multi:
             violations += 1
-        tally.add(truth, multi, isinstance(pred, ParseFailure))
+        logs.append(InstanceLog(f"i{len(logs)}", truth, multi, failure="blank" if isinstance(pred, ParseFailure) else None))
     assert violations == 0
-    recalls = per_class_recall(tally)
-    weighted = sum(recalls[label] * total for label, (_, total) in tally.per_class.items())
-    assert micro_accuracy(tally) == Fraction(weighted, tally.total)
-    assert sum(total for _, total in tally.per_class.values()) == 10_000
+    row = metrics_from_logs(logs)
+    totals = Counter(log.truth for log in logs)
+    weighted = sum(row.per_class[label] * total for label, total in totals.items())
+    assert row.overall == Fraction(weighted, row.total)
+    assert row.total == sum(totals.values()) == 10_000
     ok(7, "10000 randomized scoring cases: single=>multi monotone, accounting identity exact")
 
 
@@ -258,7 +255,7 @@ def test_criterion_8_client_robustness():
 
     with MockBackendServer([(429, None), (429, None), (200, "WAC")]) as server:
         text, record = complete(cfg(server.endpoint), "p", sleep=no_sleep)
-    assert text == "WAC" and record.final_status == "ok"
+    assert text == "WAC" and record.attempts[-1].error_class is None
     assert [a.status for a in record.attempts] == [429, 429, 200]
 
     with MockBackendServer([(200, ""), (200, "STC")]) as server:

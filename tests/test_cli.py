@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,8 @@ from mock_backend import MockBackendServer
 
 from ritkit.cli import build_arg_parser, main
 from ritkit.config import BackendConfig, ConfigError, ToolConfig, load_config
-from ritkit.detector import FineCategory, detect_file
+from ritkit.detector import FineCategory, detect_file, finding_key
+from ritkit.hybrid import DEFAULT_ROUTED_SET
 from ritkit.parser import parse_ruleset
 from ritkit.report import parse_structured, render_structured, render_structured_lines, render_text
 from ritkit.source import SourceFile
@@ -25,6 +27,23 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# What the catch-all in `main` prints for an exception that no command caught.
+CATCH_ALL = re.compile(r"^error: [A-Z]\w*(Error|Exception): ")
+
+
+def run_fatal(capsys, *argv: str) -> str:
+    """Run a command that must fail by the exit-2 contract; its error message.
+
+    The contract: exit 2, no stdout, and exactly one stderr line, which
+    starts `error: ` and is not the catch-all's `error: <Exception>: ...`.
+    """
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, ""), (code, out, err)
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    assert not CATCH_ALL.match(err), err
+    return err[len("error: ") : -1]
 
 
 class TestDetectCommand:
@@ -109,10 +128,18 @@ class TestMutateAndEvalCommands:
 
     def test_eval_missing_instance_file_is_fatal(self, capsys, corpus):
         records = [json.loads(line) for line in (corpus / "manifest.jsonl").read_text().splitlines()]
-        Path(records[3]["output_path"]).unlink()
-        code, out, err = run_cli(capsys, "eval", "--manifest", str(corpus / "manifest.jsonl"), "--predictor", "detector")
-        assert code == 2 and out == ""
-        assert err.startswith("error: FileNotFoundError: ") and err.count("\n") == 1
+        missing = records[3]["output_path"]
+        Path(missing).unlink()
+        message = run_fatal(capsys, "eval", "--manifest", str(corpus / "manifest.jsonl"), "--predictor", "detector")
+        assert message == f"cannot read instance file {missing}: No such file or directory"
+
+    def test_eval_predictions_and_predictor_are_exclusive(self, capsys, tmp_path, corpus):
+        manifest = corpus / "manifest.jsonl"
+        ids = [json.loads(line)["mutant_id"] for line in manifest.read_text().splitlines()]
+        predictions = tmp_path / "predictions.jsonl"
+        predictions.write_text("".join(json.dumps({"instance_id": i, "labels": ["WAC"]}) + "\n" for i in ids))
+        argv = ["eval", "--manifest", str(manifest), "--predictions", str(predictions), "--predictor", "detector"]
+        assert run_fatal(capsys, *argv) == "--predictions and --predictor are exclusive; pass one"
 
     def test_eval_detector_miss_is_not_a_parse_failure(self, capsys, tmp_path):
         # Strict matching misses every postUpdate cascade variant.
@@ -676,9 +703,10 @@ class TestExitCodeContract:
     def test_table_stub_without_entry_is_fatal(self, capsys, tmp_path, report_path):
         table = tmp_path / "table.json"
         table.write_text("{}", encoding="utf-8")
-        code, _, err = run_cli(capsys, "adjudicate", str(report_path), "--stub", f"table:{table}")
-        assert code == 2
-        assert err.startswith("error: KeyError: ") and err.count("\n") == 1
+        first = next(f for f in parse_structured(report_path.read_text()).findings if f.category in DEFAULT_ROUTED_SET)
+        key = finding_key(first)
+        message = run_fatal(capsys, "adjudicate", str(report_path), "--stub", f"table:{table}")
+        assert message == f"{table}: table stub has no entry for {key + '::trigger-overlap'!r} or {key!r}"
 
     REF = "must be an object with string id and text"
 
@@ -710,11 +738,13 @@ class TestExitCodeContract:
             ),
             (lambda doc: doc["findings"][0].update(description=None), "finding 0: description must be a string"),
             (lambda doc: doc["findings"][0].update(category="XYZ"), "finding 0: 'XYZ' is not a valid FineCategory"),
+            (lambda doc: doc.update(schema_version=True), "unsupported report schema version: True"),
+            (lambda doc: doc.update(schema_version=1.0), "unsupported report schema version: 1.0"),
         ],
         ids=[
             "list", "findings-string", "no-rule_a", "file-number", "rule-id-only", "triggers-object",
             "condition-string", "action-list", "short-pair", "ac-without-action_b", "tc-without-trigger_b",
-            "no-description", "bad-category",
+            "no-description", "bad-category", "version-true", "version-float",
         ],
     )
     def test_bad_report_is_named(self, capsys, tmp_path, report_path, edit, message):
@@ -722,34 +752,29 @@ class TestExitCodeContract:
         doc = edit(doc) or doc
         report = tmp_path / "c.json"
         report.write_text(json.dumps(doc), encoding="utf-8")
-        code, out, err = run_cli(capsys, "adjudicate", str(report), "--stub", "accept-all")
-        assert (code, out, err) == (2, "", f"error: cannot load report {report}: {message}\n")
+        assert run_fatal(capsys, "adjudicate", str(report), "--stub", "accept-all") == f"cannot load report {report}: {message}"
 
     def test_unknown_routed_category_is_fatal(self, capsys, report_path):
-        code, out, err = run_cli(capsys, "adjudicate", str(report_path), "--stub", "accept-all", "--routed", "WAC,BOGUS")
-        assert code == 2 and out == ""
-        assert err.startswith("error: unknown category: ") and "BOGUS" in err
+        message = run_fatal(capsys, "adjudicate", str(report_path), "--stub", "accept-all", "--routed", "WAC,BOGUS")
+        assert message.startswith("unknown category: ") and "BOGUS" in message
 
     def test_negative_sample_size_names_the_flag(self, capsys, tmp_path):
         argv = ["mutate", "--out-dir", str(tmp_path / "x"), "--strategy", "sample", "--sample-n", "-1", "--rng-seed", "1"]
-        assert run_cli(capsys, *argv) == (2, "", "error: --sample-n must be >= 0, not -1\n")
+        assert run_fatal(capsys, *argv) == "--sample-n must be >= 0, not -1"
 
     def test_seed_that_is_not_utf8_is_named(self, capsys, tmp_path):
         seed = tmp_path / "latin1.rules"
         seed.write_bytes(BENIGN.read_bytes() + "// caf\xe9\n".encode("latin-1"))
-        code, out, err = run_cli(capsys, "mutate", str(seed), "--out-dir", str(tmp_path / "x"))
-        assert (code, out) == (2, "")
-        assert err.startswith(f"error: cannot read {seed}: 'utf-8' codec can't decode") and err.count("\n") == 1
+        message = run_fatal(capsys, "mutate", str(seed), "--out-dir", str(tmp_path / "x"))
+        assert message.startswith(f"cannot read {seed}: 'utf-8' codec can't decode")
 
     def test_empty_replay_log_is_named(self, capsys, tmp_path):
         log = tmp_path / "empty.jsonl"
         log.write_text("", encoding="utf-8")
-        assert run_cli(capsys, "eval", "--replay", str(log)) == (2, "", "error: replay log is empty\n")
+        assert run_fatal(capsys, "eval", "--replay", str(log)) == "replay log is empty"
 
     def test_table_stub_must_map_keys_to_booleans(self, capsys, tmp_path, report_path):
         for doc in ([], {"SAC:r1:r2:r1a1:r2a1": "yes"}):
             table = tmp_path / "table.json"
             table.write_text(json.dumps(doc), encoding="utf-8")
-            code, out, err = run_cli(capsys, "adjudicate", str(report_path), "--stub", f"table:{table}")
-            assert code == 2 and out == ""
-            assert "JSON object of booleans" in err
+            assert "JSON object of booleans" in run_fatal(capsys, "adjudicate", str(report_path), "--stub", f"table:{table}")

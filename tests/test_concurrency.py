@@ -19,12 +19,12 @@ from conftest import load_bench_generator
 from mock_backend import MockBackendServer
 
 from ritkit.cli import main
-from ritkit.client import TokenBucket
+from ritkit.client import BackendError, CallRecord, TokenBucket
 from ritkit.detector import finding_key
 from ritkit.evaluate import ExperimentConfig, GroundTruthEntry, run_experiment
 from ritkit.hybrid import DEFAULT_ROUTED_SET, subtasks_for
 from ritkit.ordered import ordered_map
-from ritkit.prompts import FINE_LABELS, ParseFailure
+from ritkit.prompts import FINE_LABELS
 from ritkit.report import parse_structured
 
 MAX_RETRIES = 1  # two attempts per call
@@ -313,7 +313,7 @@ def test_an_earlier_instance_still_running_keeps_its_own_answer(tmp_path):
     def predict(entry: GroundTruthEntry):
         if entry.instance_id == "i2":
             outage.set()
-            return ParseFailure("backend:unavailable", "")
+            raise BackendError("unavailable", CallRecord())
         if entry.instance_id == "i1":  # still running when i2 fails
             outage.wait(timeout=10)
             time.sleep(0.05)

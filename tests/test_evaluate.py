@@ -11,7 +11,6 @@ from mock_backend import StubBackend
 from ritkit.detector import FineCategory, finding_key
 from ritkit.evaluate import (
     EXPERIMENT_CELLS,
-    ConfusionTally,
     ExperimentConfig,
     GroundTruthEntry,
     InstanceLog,
@@ -23,8 +22,6 @@ from ritkit.evaluate import (
     ground_truth_from_manifest,
     hybrid_precision,
     metrics_from_logs,
-    micro_accuracy,
-    per_class_recall,
     precision,
     recall,
     render_metrics_table,
@@ -43,6 +40,16 @@ def entry(i: int, fine: str) -> GroundTruthEntry:
     return GroundTruthEntry(f"i{i}", f"file{i}.rules", "r1", "r2", fine)
 
 
+def scored(truth: str, correct: bool, failed: bool = False) -> InstanceLog:
+    """One per-instance log line; a failed one is a blank-answer parse failure."""
+    return InstanceLog("i", truth, correct, failure="blank" if failed else None)
+
+
+def split(*cells: tuple[str, int, int]) -> list[InstanceLog]:
+    """Logs with `correct` of `total` instances right for each (label, correct, total)."""
+    return [scored(label, i < correct) for label, correct, total in cells for i in range(total)]
+
+
 class TestScorePrediction:
     def test_multi_accepts_any_match(self):
         assert score_prediction(("WAC", "STC"), "WAC", MULTI)
@@ -59,34 +66,23 @@ class TestScorePrediction:
 
 class TestMetrics:
     def test_per_class_recall_edges(self):
-        tally = ConfusionTally()
-        for _ in range(4):
-            tally.add("AC", False)
-        for _ in range(3):
-            tally.add("TC", True)
-        recalls = per_class_recall(tally)
+        recalls = metrics_from_logs(split(("AC", 0, 4), ("TC", 3, 3))).per_class
         assert recalls["AC"] == 0
         assert recalls["TC"] == 1
         assert "CC" not in recalls  # zero-total class omitted
 
     def test_micro_accuracy_is_not_recall_average(self):
-        tally = ConfusionTally()
-        for _ in range(99):
-            tally.add("AC", True)
-        tally.add("TC", False)
-        assert micro_accuracy(tally) == Fraction(99, 100)
+        row = metrics_from_logs(split(("AC", 99, 99), ("TC", 0, 1)))
+        assert row.overall == Fraction(99, 100)
         mean_of_recalls = (Fraction(1) + Fraction(0)) / 2
-        assert micro_accuracy(tally) != mean_of_recalls
+        assert row.overall != mean_of_recalls
 
     def test_headline_accuracy_value(self):
-        tally = ConfusionTally()
-        for i in range(2495):
-            tally.add("CC", i < 2188)
-        assert format_percent(micro_accuracy(tally)) == "87.70%"
+        assert format_percent(metrics_from_logs(split(("CC", 2188, 2495))).overall) == "87.70%"
 
     def test_empty_dataset_is_an_error(self):
-        with pytest.raises(ValueError):
-            micro_accuracy(ConfusionTally())
+        with pytest.raises(ValueError, match="micro accuracy is undefined on an empty dataset"):
+            metrics_from_logs([])
 
     def test_recall_and_precision_ratios(self):
         assert format_percent(recall(61, 53)) == "53.51%"
@@ -102,32 +98,24 @@ class TestMetrics:
     def test_three_class_split_reproduces_headline_row(self):
         # With the 677/472/1346 class sizes, per-class corrects of
         # 403/445/1340 give the 59.53/94.28/99.55 recalls and 2188 total.
-        tally = ConfusionTally()
-        for label, correct, total in (("AC", 403, 677), ("TC", 445, 472), ("CC", 1340, 1346)):
-            for i in range(total):
-                tally.add(label, i < correct)
-        recalls = per_class_recall(tally)
-        assert format_percent(recalls["AC"]) == "59.53%"
-        assert format_percent(recalls["TC"]) == "94.28%"
-        assert format_percent(recalls["CC"]) == "99.55%"
-        assert tally.correct == 2188 and tally.total == 2495
-        assert format_percent(micro_accuracy(tally)) == "87.70%"
+        row = metrics_from_logs(split(("AC", 403, 677), ("TC", 445, 472), ("CC", 1340, 1346)))
+        assert format_percent(row.per_class["AC"]) == "59.53%"
+        assert format_percent(row.per_class["TC"]) == "94.28%"
+        assert format_percent(row.per_class["CC"]) == "99.55%"
+        assert row.overall * row.total == 2188 and row.total == 2495
+        assert format_percent(row.overall) == "87.70%"
 
     def test_false_negative_recovery_split(self):
         # Blind-recovery profile over the 114 statically missed mutants.
-        splits = (("WAC", 2, 2), ("STC", 2, 16), ("WTC", 18, 35), ("SCC", 33, 33), ("WCC", 6, 28))
-        tally = ConfusionTally()
-        for label, correct, total in splits:
-            for i in range(total):
-                tally.add(label, i < correct)
-        recalls = per_class_recall(tally)
+        row = metrics_from_logs(split(("WAC", 2, 2), ("STC", 2, 16), ("WTC", 18, 35), ("SCC", 33, 33), ("WCC", 6, 28)))
+        recalls = row.per_class
         assert format_percent(recalls["WAC"]) == "100.00%"
         assert format_percent(recalls["STC"]) == "12.50%"
         assert format_percent(recalls["WTC"]) == "51.43%"
         assert format_percent(recalls["SCC"]) == "100.00%"
         assert format_percent(recalls["WCC"]) == "21.43%"
-        assert tally.correct == 61 and tally.total == 114
-        assert format_percent(micro_accuracy(tally)) == "53.51%"
+        assert row.overall * row.total == 61 and row.total == 114
+        assert format_percent(row.overall) == "53.51%"
 
 
 class TestRunExperiment:
@@ -239,7 +227,7 @@ class TestBackendPredictorGivesUp:
 class TestScoringProperties:
     def test_monotonicity_and_accounting(self):
         rng = random.Random(2026)
-        tally_multi = ConfusionTally()
+        logs = []
         for _ in range(2000):
             truth = rng.choice(FINE_LABELS)
             if rng.random() < 0.08:
@@ -250,12 +238,12 @@ class TestScoringProperties:
             single = score_prediction(pred, truth, SINGLE)
             multi = score_prediction(pred, truth, MULTI)
             assert multi or not single  # single correct implies multi correct
-            tally_multi.add(truth, multi, isinstance(pred, ParseFailure))
-        recalls = per_class_recall(tally_multi)
-        weighted = sum(
-            recalls[label] * total for label, (_, total) in tally_multi.per_class.items()
-        )
-        assert micro_accuracy(tally_multi) == Fraction(weighted, tally_multi.total)
+            logs.append(scored(truth, multi, isinstance(pred, ParseFailure)))
+        row = metrics_from_logs(logs)
+        totals = Counter(log.truth for log in logs)
+        weighted = sum(row.per_class[label] * total for label, total in totals.items())
+        assert row.overall == Fraction(weighted, row.total)
+        assert row.total == 2000 and row.parse_failures == sum(log.failure is not None for log in logs)
 
     def test_aggregation_consistency(self):
         rng = random.Random(7)

@@ -6,7 +6,7 @@ import pytest
 from conftest import parse_text
 from mock_backend import MockBackendServer, StubBackend
 
-from ritkit.client import AdjudicatorUnavailable, HttpBackend, StubAdjudicator
+from ritkit.client import BackendError, CallRecord, HttpBackend, StubAdjudicator
 from ritkit.config import BackendConfig
 from ritkit.detector import FindingReport, FineCategory, detect_file, finding_key
 from ritkit.hybrid import (
@@ -184,7 +184,7 @@ class TestReconcile:
 
 class _FlakyAdjudicator:
     def answer_subtask(self, finding_key: str, subtask_kind: str, payload: str):
-        raise AdjudicatorUnavailable("backend exhausted")
+        raise BackendError("unavailable", CallRecord())
 
 
 class TestFailOpen:
@@ -201,7 +201,7 @@ class TestFailOpen:
             def answer_subtask(self, finding_key: str, subtask_kind: str, payload: str):
                 if subtask_kind == "trigger-overlap":
                     return False, "NO"
-                raise AdjudicatorUnavailable("backend exhausted")
+                raise BackendError("unavailable", CallRecord())
 
         result = run_pipeline(mixed_report, NoThenOutage(), frozenset({FineCategory.WAC}))
         assert wac in result.final.findings and result.discarded == ()
@@ -276,10 +276,11 @@ class TestModelAdjudicator:
         uphold, _ = adj.answer_subtask("k", "trigger-overlap", "payload")
         assert uphold is True
 
-    def test_backend_error_becomes_unavailable(self):
+    def test_backend_error_propagates(self):
         adj = ModelAdjudicator(StubBackend())  # no scripted responses
-        with pytest.raises(AdjudicatorUnavailable):
+        with pytest.raises(BackendError) as exc_info:
             adj.answer_subtask("k", "trigger-overlap", "payload")
+        assert exc_info.value.error_class == "unavailable"
 
 
 class TestRecoverNegatives:
@@ -297,8 +298,9 @@ class TestRecoverNegatives:
 
     def test_backend_error_is_named_by_its_class(self):
         backend = StubBackend()  # no scripted responses: the call fails as unavailable
-        result = recover_negatives(MIXED_RULESET, ExperimentConfig(), backend)
-        assert result == ParseFailure("backend:unavailable", "")
+        with pytest.raises(BackendError) as exc_info:
+            recover_negatives(MIXED_RULESET, ExperimentConfig(), backend)
+        assert exc_info.value.error_class == "unavailable"
 
     def test_single_mode_passes_through(self):
         backend = StubBackend(constant="WAC, SCC")
