@@ -253,11 +253,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     from .prompts import BACKEND_FAILURE, ExperimentConfig
     from .records import dump_records, read_records
 
-    if args.predictions and args.predictor:
-        return _fail("--predictions and --predictor are exclusive; pass one")
     overridden = [flag for flag, value in (("--taxonomy", args.taxonomy), ("--scoring", args.scoring)) if value]
     if args.experiment and overridden:
         return _fail(f"--experiment sets the taxonomy and scoring; drop {' and '.join(overridden)}")
+    unread = [
+        flag for flag, value in (("--manifest", args.manifest), ("--per-instance-log", args.per_instance_log)) if value
+    ]
+    if args.replay and unread:
+        return _fail(f"--replay recomputes the metrics of its log; drop {' and '.join(unread)}")
     cell = EXPERIMENT_CELLS[args.experiment] if args.experiment else ExperimentConfig()
     multi = cell.multi_response if args.scoring is None else args.scoring == "multi"
     config = ExperimentConfig(args.taxonomy or cell.taxonomy, multi, args.shots)
@@ -306,7 +309,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     try:
         row, logs = run_experiment(config, dataset, predictor, BACKEND_JOBS if backend else 1)
-    except OSError as exc:  # an instance file the manifest names
+    except OSError as exc:  # an instance file the manifest names, missing or not UTF-8
         return _fail(f"cannot read instance file {exc.filename}: {exc.strerror}")
     finally:
         if backend is not None:
@@ -361,9 +364,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="score predictions against a ground-truth manifest")
     p.add_argument("--manifest", help="ground-truth JSONL (mutation manifest.jsonl converts directly)")
-    p.add_argument("--predictions", help="JSONL of {instance_id, labels} predictions")
-    p.add_argument("--predictor", help="predictor: echo | detector | constant:<LABEL> | backend")
-    p.add_argument("--replay", help="recompute metrics from a per-instance log")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--predictions", help="JSONL of {instance_id, labels} predictions")
+    mode.add_argument("--predictor", help="predictor: echo | detector | constant:<LABEL> | backend")
+    mode.add_argument("--replay", help="recompute metrics from a per-instance log")
     p.add_argument("--experiment", choices=("A", "B", "C", "D"), help="preset cell: A/B six-class, C/D three-class")
     p.add_argument("--taxonomy", choices=("six", "three"), help="label granularity")
     p.add_argument("--scoring", choices=("multi", "single"), help="multiple responses allowed or not")
@@ -380,8 +384,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "eval" and not (args.replay or args.manifest):
         parser.error("eval requires --manifest (or --replay)")
-    if args.command == "eval" and not (args.replay or args.predictions or args.predictor):
-        parser.error("eval requires --predictions, --predictor or --replay")
     try:
         return args.func(args)
     except Exception as exc:  # the exit-code contract: never exit 1 on a crash

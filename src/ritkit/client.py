@@ -25,8 +25,7 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .prompts import BackendError
 
@@ -48,16 +47,14 @@ ERROR_INVALID_REQUEST = "invalid-request"
 _NON_RETRYABLE = {ERROR_AUTH, ERROR_INVALID_REQUEST}
 
 
-@dataclass(frozen=True)
-class Attempt:
+class Attempt(NamedTuple):
     status: int | None
     latency: float
     error_class: str | None
 
 
-@dataclass
-class CallRecord:
-    attempts: list[Attempt] = field(default_factory=list)
+class CallRecord(NamedTuple):
+    attempts: tuple[Attempt, ...] = ()
 
 
 class TokenBucket:
@@ -195,7 +192,7 @@ def complete(
     """
     import http.client
 
-    record = CallRecord()
+    attempts: list[Attempt] = []
     own_connection = connection is None
     if connection is None:
         connection = Connection(config.endpoint, config.timeout)
@@ -238,9 +235,9 @@ def complete(
             except (OSError, http.client.HTTPException):
                 error_class = ERROR_UNAVAILABLE
 
-            record.attempts.append(Attempt(status, time.monotonic() - start, error_class))
+            attempts.append(Attempt(status, time.monotonic() - start, error_class))
             if content is not None:
-                return content, record
+                return content, CallRecord(tuple(attempts))
 
             retryable = error_class not in _NON_RETRYABLE and (
                 status in RETRYABLE_STATUSES
@@ -248,7 +245,8 @@ def complete(
                 or (error_class == ERROR_UNAVAILABLE and status is None)
             )
             if not retryable or attempt == config.max_retries:
-                raise BackendError(ERROR_MALFORMED if error_class == ERROR_BLANK else error_class, record)
+                error_class = ERROR_MALFORMED if error_class == ERROR_BLANK else error_class
+                raise BackendError(error_class, CallRecord(tuple(attempts)))
 
             # Exponential backoff with jitter bounded by the base delay, so
             # attempt k+1's scheduled delay never undercuts attempt k's base.

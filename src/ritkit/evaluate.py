@@ -7,24 +7,24 @@ over total samples), never an average of per-class recalls.
 
 from __future__ import annotations
 
+import errno
 import json
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from .detector import FineCategory, aggregate
 from .mutate import MutantManifest
 from .ordered import ordered_map
 from .prompts import BACKEND_FAILURE, BackendError, ExperimentConfig, ParseFailure
 from .records import read_records
+from .source import SourceFile
 
 Prediction = tuple[str, ...] | ParseFailure
 
 
-@dataclass(frozen=True)
-class GroundTruthEntry:
+class _GroundTruthFields(NamedTuple):
     instance_id: str
     source: str
     rule_a: str
@@ -32,27 +32,36 @@ class GroundTruthEntry:
     fine: str
     coarse: str = ""
 
-    def __post_init__(self) -> None:
+
+class GroundTruthEntry(_GroundTruthFields):
+    __slots__ = ()
+
+    def __new__(cls, *args: object, **kwargs: object) -> GroundTruthEntry:
+        self = super().__new__(cls, *args, **kwargs)
         expected = aggregate(FineCategory(self.fine)).value
-        if not self.coarse:
-            object.__setattr__(self, "coarse", expected)
-        elif self.coarse != expected:
+        if self.coarse and self.coarse != expected:
             raise ValueError(f"coarse label {self.coarse!r} does not aggregate from {self.fine!r}")
+        return self._replace(coarse=expected)
 
     def label(self, taxonomy: str) -> str:
         return self.fine if taxonomy == "six" else self.coarse
 
 
-@dataclass(frozen=True)
-class PredictionEntry:
-    """One line of a predictions file."""
-
+class _PredictionFields(NamedTuple):
     instance_id: str
     labels: tuple[str, ...]
 
-    def __post_init__(self) -> None:
+
+class PredictionEntry(_PredictionFields):
+    """One line of a predictions file."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: object, **kwargs: object) -> PredictionEntry:
+        self = super().__new__(cls, *args, **kwargs)
         if not isinstance(self.labels, tuple) or not all(isinstance(label, str) for label in self.labels):
             raise ValueError(f"instance {self.instance_id}: labels must be a JSON list of strings")
+        return self
 
 
 R = TypeVar("R", GroundTruthEntry, PredictionEntry)
@@ -121,19 +130,6 @@ def score_prediction(pred: Prediction, truth: str, config: ExperimentConfig) -> 
     return len(pred) == 1 and pred[0] == truth
 
 
-def recall(tp: int, fn: int) -> Fraction | None:
-    """TP / (TP + FN); None when the denominator is zero."""
-    if tp + fn == 0:
-        return None
-    return Fraction(tp, tp + fn)
-
-
-def precision(tp: int, fp: int) -> Fraction | None:
-    if tp + fp == 0:
-        return None
-    return Fraction(tp, tp + fp)
-
-
 def format_percent(value: Fraction | None) -> str:
     """Two decimal places, half-up, e.g. Fraction(2188, 2495) -> '87.70%'."""
     if value is None:
@@ -142,8 +138,7 @@ def format_percent(value: Fraction | None) -> str:
     return f"{dec.quantize(Decimal('0.01'), rounding=ROUND_HALF_UP)}%"
 
 
-@dataclass(frozen=True)
-class MetricsRow:
+class MetricsRow(NamedTuple):
     per_class: dict[str, Fraction]
     overall: Fraction
     parse_failures: int
@@ -155,8 +150,7 @@ class MetricsRow:
         return out
 
 
-@dataclass(frozen=True)
-class InstanceLog:
+class InstanceLog(NamedTuple):
     instance_id: str
     truth: str
     correct: bool
@@ -165,6 +159,14 @@ class InstanceLog:
 
 
 Predictor = Callable[[GroundTruthEntry], Prediction]
+
+
+def _read_instance(entry: GroundTruthEntry) -> SourceFile:
+    """The instance's file; one that is not UTF-8 is an OSError that names it, as a missing one is."""
+    try:
+        return SourceFile.from_path(entry.source)
+    except UnicodeDecodeError as exc:
+        raise OSError(errno.EILSEQ, str(exc), entry.source) from exc
 
 
 def echo_predictor(dataset: list[GroundTruthEntry], taxonomy: str = "six") -> Predictor:
@@ -185,12 +187,11 @@ def detector_predictor(taxonomy: str = "six", strict: bool = True) -> Predictor:
     """
     from .detector import DetectorConfig, detect_file
     from .parser import parse_ruleset
-    from .source import SourceFile
 
     config = DetectorConfig(strict_event_matching=strict)
 
     def predict(entry: GroundTruthEntry) -> Prediction:
-        report = detect_file(parse_ruleset(SourceFile.from_path(entry.source)), config)
+        report = detect_file(parse_ruleset(_read_instance(entry)), config)
         raw = [f.category.value if taxonomy == "six" else f.coarse.value for f in report.findings]
         return tuple(dict.fromkeys(raw))
 
@@ -205,7 +206,7 @@ def backend_predictor(config: ExperimentConfig, backend) -> Predictor:
     """
     from .hybrid import recover_negatives
 
-    return lambda entry: recover_negatives(Path(entry.source).read_text(encoding="utf-8"), config, backend)
+    return lambda entry: recover_negatives(_read_instance(entry).content, config, backend)
 
 
 def run_experiment(
@@ -229,7 +230,7 @@ def run_experiment(
             preds.append(pred)
     except BackendError as exc:
         for entry in dataset[len(preds) + 1 :]:
-            Path(entry.source).read_text(encoding="utf-8")
+            _read_instance(entry)
         preds += [ParseFailure(f"{BACKEND_FAILURE}{exc.error_class}", "")] * (len(dataset) - len(preds))
 
     logs: list[InstanceLog] = []
@@ -272,49 +273,3 @@ def render_metrics_table(row: MetricsRow, labels: tuple[str, ...], name: str = "
     body = " | ".join([name.ljust(name_width)] + [c.rjust(w) for c, w in zip(cells, widths)])
     footer = f"samples: {row.total}, parse failures: {row.parse_failures}"
     return "\n".join([head, line, body, footer])
-
-
-# ---------------------------------------------------------------------------
-# Hybrid precision accounting (before vs. after reconciliation)
-
-
-@dataclass(frozen=True)
-class PrecisionTable:
-    before: dict[str, Fraction | None]
-    after: dict[str, Fraction | None]
-    before_total: Fraction | None
-    after_total: Fraction | None
-
-
-def hybrid_precision(
-    findings: list,
-    kept_refs: set[str],
-    truth: dict[str, bool],
-) -> PrecisionTable:
-    """Per-category precision before and after reconciliation.
-
-    `findings` are detector findings, `truth` maps finding keys to TP/FP
-    labels, `kept_refs` are the keys surviving reconciliation.
-    """
-    from .detector import finding_key
-
-    def tally(keys: Iterable[str], categories: dict[str, str]) -> tuple[dict[str, Fraction | None], Fraction | None]:
-        per_cat: dict[str, list[int]] = {}
-        tp_total = fp_total = 0
-        for key in keys:
-            cat = categories[key]
-            cell = per_cat.setdefault(cat, [0, 0])
-            if truth[key]:
-                cell[0] += 1
-                tp_total += 1
-            else:
-                fp_total += 1
-            cell[1] += 1
-        table = {cat: precision(tp, total - tp) for cat, (tp, total) in per_cat.items()}
-        return table, precision(tp_total, fp_total)
-
-    categories = {finding_key(f): f.category.value for f in findings}
-    all_keys = list(categories)
-    before, before_total = tally(all_keys, categories)
-    after, after_total = tally([k for k in all_keys if k in kept_refs], categories)
-    return PrecisionTable(before, after, before_total, after_total)

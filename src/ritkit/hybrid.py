@@ -13,9 +13,8 @@ adjudicator again. Blind recovery lets that error propagate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 from .detector import CoarseCategory, FineCategory, Finding, FindingReport, finding_key
 from .ordered import ordered_map
@@ -30,8 +29,7 @@ class SubtaskKind(Enum):
     ACTION_CONFLICT = "action-conflict"
 
 
-@dataclass(frozen=True)
-class AdjudicationSubtask:
+class AdjudicationSubtask(NamedTuple):
     kind: SubtaskKind
     payload: str  # the question text handed to the adjudicator
 
@@ -85,8 +83,7 @@ def subtasks_for(finding: Finding) -> tuple[AdjudicationSubtask, ...]:
     return tuple(AdjudicationSubtask(kind, _payload(kind, finding)) for kind in _FAMILY_SUBTASKS[finding.coarse])
 
 
-@dataclass(frozen=True)
-class AuditRecord:
+class AuditRecord(NamedTuple):
     finding: str  # the finding's key
     subtask: str
     raw_response: str
@@ -112,8 +109,7 @@ class ModelAdjudicator:
         return scan_labels(response, ("YES", "NO"), multi_allowed=False) != ("NO",), response
 
 
-@dataclass(frozen=True)
-class ReconciledReport:
+class ReconciledReport(NamedTuple):
     final: FindingReport
     discarded: tuple[Finding, ...]
     fail_open_refs: tuple[str, ...]  # sorted, each key once

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .detector import (
     CATEGORY_ORDER,
@@ -66,11 +65,11 @@ class MutationError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Seed:
+class Seed(NamedTuple):
     path: str
     text: str
     ruleset: RuleSet
+    finding_keys: frozenset[tuple]  # identities of the seed's own findings
 
     @staticmethod
     def load(path: str | Path) -> "Seed":
@@ -85,18 +84,12 @@ class Seed:
         ruleset = parse_ruleset(SourceFile.from_text(text, path))
         if ruleset.errors():
             raise MutationError(f"seed {path} does not parse cleanly: {ruleset.errors()[0].message}")
-        return Seed(path, text, ruleset)
-
-    @cached_property
-    def finding_keys(self) -> frozenset[tuple]:
-        """Identities of the seed's own findings, detected once per seed."""
         # Strict whatever the default: validation takes these as the strict findings of the pairs it skips.
-        strict = DetectorConfig(strict_event_matching=True)
-        return frozenset(_finding_identity(f) for f in detect_file(self.ruleset, strict).findings)
+        report = detect_file(ruleset, DetectorConfig(strict_event_matching=True))
+        return Seed(path, text, ruleset, frozenset(_finding_identity(f) for f in report.findings))
 
 
-@dataclass(frozen=True)
-class MutantRecord:
+class _MutantFields(NamedTuple):
     mutant_id: str
     seed_file: str
     operator: str
@@ -106,13 +99,18 @@ class MutantRecord:
     output_path: str
     miss_cause: str | None = None
 
-    def __post_init__(self) -> None:
+
+class MutantRecord(_MutantFields):
+    __slots__ = ()
+
+    def __new__(cls, *args: object, **kwargs: object) -> MutantRecord:
+        self = super().__new__(cls, *args, **kwargs)
         FineCategory(self.operator)  # a ValueError names an unknown operator
+        return self
 
 
-@dataclass
-class MutantManifest:
-    records: list[MutantRecord] = field(default_factory=list)
+class MutantManifest(NamedTuple):
+    records: list[MutantRecord]
 
     def totals(self) -> dict[str, int]:
         out = {cat.value: 0 for cat in CATEGORY_ORDER}
@@ -227,8 +225,7 @@ def _new_action(kind: ActionKind, item: str, value: Value) -> Action:
     return Action("a0", kind, item, value)
 
 
-@dataclass(frozen=True)
-class TransformContext:
+class TransformContext(NamedTuple):
     ruleset: RuleSet
     fresh: bool
     post_update: bool  # trigger cascades fire through postUpdate
@@ -378,8 +375,7 @@ def transform_wcc(ctx: TransformContext, a: Rule, b: Rule) -> tuple[Rule, Rule, 
 # Operators
 
 
-@dataclass(frozen=True)
-class MutationOperator:
+class MutationOperator(NamedTuple):
     target: FineCategory
     ordered_pairs: bool
     precondition: Callable[[Rule, Rule], bool]
@@ -548,13 +544,11 @@ def apply_operator(
 # Corpus generation
 
 
-@dataclass(frozen=True)
-class Exhaustive:
-    pass
+class Exhaustive(NamedTuple):
+    """Every eligible pair."""
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
     n: int
     rng_seed: int
 
@@ -590,7 +584,7 @@ def generate_corpus(
         rng = random.Random(strategy.rng_seed)
         jobs = rng.sample(jobs, strategy.n)
 
-    manifest = MutantManifest()
+    manifest = MutantManifest([])
     written: list[Path] = []
     try:
         for k, (seed, op, pair) in enumerate(jobs, start=1):

@@ -10,10 +10,8 @@ answer becomes labels or a `ParseFailure`; a backend that gives up raises
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .detector import CoarseCategory, FineCategory, aggregate
 
@@ -40,25 +38,32 @@ PROMPT_TAIL = (
 
 @lru_cache(maxsize=None)
 def _asset(*parts: str) -> str:
+    from importlib import resources  # here, so that a run that builds no prompt never loads it
+
     root = resources.files("ritkit") / "prompt_assets"
     for part in parts:
         root = root / part
     return root.read_text(encoding="utf-8").rstrip("\n")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One experiment cell: the label taxonomy, the scoring mode and the prompt's shots."""
-
+class _ExperimentFields(NamedTuple):
     taxonomy: str = "six"  # "six" | "three"
     multi_response: bool = True
     shots: int = 0
 
-    def __post_init__(self) -> None:
+
+class ExperimentConfig(_ExperimentFields):
+    """One experiment cell: the label taxonomy, the scoring mode and the prompt's shots."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: object, **kwargs: object) -> ExperimentConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.taxonomy not in ("six", "three"):
             raise ValueError("taxonomy must be 'six' or 'three'")
         if self.shots not in (0, 1, 2):
             raise ValueError("shots must be 0, 1 or 2")
+        return self
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -137,8 +142,7 @@ PARSE_FAILURE_AMBIGUOUS = "ambiguous"
 BACKEND_FAILURE = "backend:"  # prefix of the kind of a failed backend call: "backend:<error class>"
 
 
-@dataclass(frozen=True)
-class ParseFailure:
+class ParseFailure(NamedTuple):  # a tuple too: test for it before reading a prediction as labels
     kind: str
     raw: str
 

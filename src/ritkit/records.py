@@ -1,7 +1,7 @@
 """The JSON-lines format of every flat record file.
 
 Mutation manifests, ground truth, predictions, per-instance logs and audit
-logs each hold one record (a dataclass) per line: a JSON object whose keys
+logs each hold one record (a `NamedTuple`) per line: a JSON object whose keys
 are the field names, sorted. Reading skips blank lines and ignores keys the
 record does not have; an absent optional key takes its field's default, a
 JSON array value becomes a tuple, and a field annotated `str`, `str | None`
@@ -11,7 +11,6 @@ or `bool` must hold a string, a string or null, or a boolean.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import Iterable, TypeVar
 
@@ -22,7 +21,7 @@ _CHECKED = {"str": (str, "a string"), "str | None": ((str, type(None)), "a strin
 
 
 def dump_records(records: Iterable) -> str:
-    return "".join(json.dumps({f.name: getattr(r, f.name) for f in fields(r)}, sort_keys=True) + "\n" for r in records)
+    return "".join(json.dumps(r._asdict(), sort_keys=True) + "\n" for r in records)
 
 
 def read_records(path: str | Path, cls: type[R]) -> list[R]:
@@ -32,9 +31,10 @@ def read_records(path: str | Path, cls: type[R]) -> list[R]:
     of the wrong type in a checked field, or whose record raises ValueError
     raises ValueError("line N: ...").
     """
-    names = {f.name for f in fields(cls)}
-    required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
-    checked = {f.name: _CHECKED[f.type] for f in fields(cls) if f.type in _CHECKED}
+    required = [name for name in cls._fields if name not in cls._field_defaults]
+    declared = next(k for k in cls.__mro__ if tuple in k.__bases__)  # made by typing.NamedTuple, with ForwardRefs
+    annotations = {name: getattr(t, "__forward_arg__", t) for name, t in declared.__annotations__.items()}
+    checked = {name: _CHECKED[t] for name, t in annotations.items() if t in _CHECKED}
     out = []
     for n, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
         if not line.strip():
@@ -49,7 +49,7 @@ def read_records(path: str | Path, cls: type[R]) -> list[R]:
             for name, (types, described) in checked.items():
                 if name in obj and not isinstance(obj[name], types):
                     raise ValueError(f"{name} must be {described}")
-            out.append(cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in obj.items() if k in names}))
+            out.append(cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in obj.items() if k in cls._fields}))
         except ValueError as exc:
             raise ValueError(f"line {n}: {exc}") from exc
     return out

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import oracle
-from conftest import parse_fixture
+from conftest import hybrid_precision, parse_fixture, recall
 from mock_backend import MockBackendServer
 
 from ritkit.client import BackendError, StubAdjudicator, complete
@@ -32,9 +32,7 @@ from ritkit.evaluate import (
     ExperimentConfig,
     InstanceLog,
     format_percent,
-    hybrid_precision,
     metrics_from_logs,
-    recall,
     score_prediction,
 )
 from ritkit.hybrid import run_pipeline

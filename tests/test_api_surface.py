@@ -18,12 +18,6 @@ SOURCES = sorted((ROOT / "src" / "ritkit").glob("*.py")) + sorted(
     p for p in (ROOT / "bench").glob("*.py") if p.name != "test_bench.py"
 )
 
-# Public API kept for an acceptance criterion alone.
-ALLOWED = {
-    "recall": "acceptance criterion 3 scores recall through it",
-    "hybrid_precision": "acceptance criterion 6 measures precision before and after reconciliation with it",
-}
-
 
 def _referenced(node: ast.AST) -> Counter:
     names: Counter = Counter()
@@ -54,7 +48,7 @@ def unreferenced() -> list[str]:
     missing = []
     for path, tree in trees.items():
         for qualified, node in _definitions(tree):
-            if everywhere[node.name] - _referenced(node)[node.name] == 0 and node.name not in ALLOWED:
+            if everywhere[node.name] - _referenced(node)[node.name] == 0:
                 missing.append(f"{path.relative_to(ROOT)}: {qualified}")
     return missing
 

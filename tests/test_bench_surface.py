@@ -47,7 +47,7 @@ def _resolve(node: ast.expr, env: dict) -> object:
 
 
 def _exists(owner: object, attr: str) -> bool:
-    return hasattr(owner, attr) or attr in getattr(owner, "__dataclass_fields__", {})
+    return hasattr(owner, attr)
 
 
 def _bind(target: ast.expr, value: ast.expr, env: dict, constants: bool = False) -> None:

@@ -46,6 +46,16 @@ def run_fatal(capsys, *argv: str) -> str:
     return err[len("error: ") : -1]
 
 
+def run_usage_error(capsys, *argv: str) -> str:
+    """Run a command that argparse must refuse (exit 2, usage on stderr); its error message."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert (exit_info.value.code, captured.out) == (2, ""), captured
+    assert captured.err.startswith("usage: ritkit "), captured.err
+    return captured.err.splitlines()[-1].split(" error: ", 1)[1]
+
+
 class TestDetectCommand:
     def test_benign_file_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "detect", str(BENIGN))
@@ -139,7 +149,21 @@ class TestMutateAndEvalCommands:
         predictions = tmp_path / "predictions.jsonl"
         predictions.write_text("".join(json.dumps({"instance_id": i, "labels": ["WAC"]}) + "\n" for i in ids))
         argv = ["eval", "--manifest", str(manifest), "--predictions", str(predictions), "--predictor", "detector"]
-        assert run_fatal(capsys, *argv) == "--predictions and --predictor are exclusive; pass one"
+        assert run_usage_error(capsys, *argv) == "argument --predictor: not allowed with argument --predictions"
+
+    def test_eval_replay_takes_no_other_input_or_output(self, capsys, corpus, tmp_path):
+        log, manifest = str(tmp_path / "log.jsonl"), str(corpus / "manifest.jsonl")
+        code, _, _ = run_cli(capsys, "eval", "--manifest", manifest, "--predictor", "echo", "--per-instance-log", log)
+        assert code == 0
+        for mode in ("--predictor", "--predictions"):
+            message = run_usage_error(capsys, "eval", "--replay", log, mode, "x")
+            assert message == f"argument {mode}: not allowed with argument --replay"
+        assert run_usage_error(capsys, "eval") == "one of the arguments --predictions --predictor --replay is required"
+        unread = {"--manifest": manifest, "--per-instance-log": str(tmp_path / "again.jsonl")}
+        for flag, value in unread.items():
+            message = run_fatal(capsys, "eval", "--replay", log, flag, value)
+            assert message == f"--replay recomputes the metrics of its log; drop {flag}"
+        assert not (tmp_path / "again.jsonl").exists()
 
     def test_eval_detector_miss_is_not_a_parse_failure(self, capsys, tmp_path):
         # Strict matching misses every postUpdate cascade variant.
@@ -243,7 +267,8 @@ class TestMutateAndEvalCommands:
         path = tmp_path / "records.jsonl"
         text = [line if isinstance(line, str) else json.dumps(line) for line in lines]
         path.write_text("\n" + "\n".join(text) + "\n", encoding="utf-8")  # the first record is on line 2
-        code, out, err = run_cli(capsys, "eval", flag, str(path), "--predictor", "echo")
+        predictor = ["--predictor", "echo"] if flag == "--manifest" else []
+        code, out, err = run_cli(capsys, "eval", flag, str(path), *predictor)
         kind = "manifest" if flag == "--manifest" else "replay log"
         assert (code, out) == (2, "")
         assert err == f"error: cannot load {kind} {path}: {problem}\n"
@@ -432,23 +457,33 @@ class TestStartUp:
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
-        """A sampled mutation manifest and a structured report, made in-process."""
+        """A sampled mutation manifest, its predictions and per-instance log, and a structured report."""
         work = tmp_path_factory.mktemp("start-up")
         corpus = work / "corpus"
         main(["mutate", "--out-dir", str(corpus), "--strategy", "sample", "--sample-n", "4", "--rng-seed", "1"])
+        manifest, predictions, log = corpus / "manifest.jsonl", work / "predictions.jsonl", work / "log.jsonl"
+        ids = [json.loads(line)["mutant_id"] for line in manifest.read_text(encoding="utf-8").splitlines()]
+        predictions.write_text("".join(json.dumps({"instance_id": i, "labels": ["SAC"]}) + "\n" for i in ids))
         report = work / "report.json"
+        main(["eval", "--manifest", str(manifest), "--predictor", "echo", "--per-instance-log", str(log)])
         main(["detect", str(DATA / "hybrid_mixed.rules"), "--format", "structured", "--out", str(report)])
-        return {"manifest": str(corpus / "manifest.jsonl"), "report": str(report), "out": str(work / "m")}
+        return {"manifest": manifest, "predictions": predictions, "log": log, "report": report, "out": work / "m"}
 
+    # No offline subcommand loads `dataclasses`, nor the `inspect` module that it pulls in.
     @pytest.mark.parametrize(
         "argv, not_loaded",
         [
             (["detect", str(BENIGN)], {"config", "mutate", "evaluate", "hybrid", "client", "prompts"}),
             (["mutate", str(BENIGN), "--out-dir", "{out}", "--operators", "SAC"], {"evaluate", "hybrid", "client", "prompts"}),
             (["eval", "--manifest", "{manifest}", "--predictor", "detector"], {"hybrid", "client"}),
+            (["eval", "--manifest", "{manifest}", "--predictor", "echo"], {"hybrid", "client"}),
+            (["eval", "--manifest", "{manifest}", "--predictor", "constant:WAC"], {"hybrid", "client"}),
+            (["eval", "--manifest", "{manifest}", "--predictions", "{predictions}"], {"hybrid", "client"}),
+            (["eval", "--replay", "{log}"], {"hybrid", "client"}),
             (["adjudicate", "{report}", "--stub", "accept-all"], {"mutate", "evaluate"}),
         ],
-        ids=["detect", "mutate", "eval-detector", "adjudicate-stub"],
+        ids=["detect", "mutate", "eval-detector", "eval-echo", "eval-constant", "eval-predictions", "eval-replay",
+             "adjudicate-stub"],
     )
     def test_each_subcommand_loads_only_its_own_modules(self, inputs, argv, not_loaded):
         argv = [arg.format(**inputs) for arg in argv]
@@ -457,7 +492,8 @@ class TestStartUp:
             "from ritkit.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = main({argv!r})\n"
-            "print(code, 'http.client' in sys.modules, *sorted(m for m in sys.modules if m.startswith('ritkit.')))\n"
+            "print(code, 'http.client' in sys.modules,\n"
+            "      *sorted(m for m in sys.modules if m.startswith('ritkit.') or m in ('dataclasses', 'inspect')))\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", code], env=self.ENV, timeout=60, capture_output=True, text=True, check=True
@@ -465,18 +501,8 @@ class TestStartUp:
         status, http_loaded, *modules = result.stdout.split()
         assert (status, http_loaded) == ("0", "False")
         loaded = {m.removeprefix("ritkit.") for m in modules}
+        not_loaded = not_loaded | {"dataclasses", "inspect"}
         assert "cli" in loaded and loaded.isdisjoint(not_loaded), sorted(loaded & not_loaded)
-
-    def test_detect_loads_neither_dataclasses_nor_inspect(self):
-        code = (
-            "import contextlib, io, sys\n"
-            "from ritkit.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    main(['detect', {str(BENIGN)!r}])\n"
-            "sys.exit(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules) or None)\n"
-        )
-        result = subprocess.run([sys.executable, "-c", code], env=self.ENV, timeout=60, capture_output=True, text=True)
-        assert (result.returncode, result.stderr) == (0, "")
 
     def test_backend_call_never_loads_requests(self):
         with MockBackendServer([(200, "WAC")], keep_alive=True) as server:
@@ -767,6 +793,16 @@ class TestExitCodeContract:
         seed.write_bytes(BENIGN.read_bytes() + "// caf\xe9\n".encode("latin-1"))
         message = run_fatal(capsys, "mutate", str(seed), "--out-dir", str(tmp_path / "x"))
         assert message.startswith(f"cannot read {seed}: 'utf-8' codec can't decode")
+
+    def test_eval_instance_file_that_is_not_utf8_is_named(self, capsys, tmp_path):
+        argv = ["--out-dir", str(tmp_path / "corpus"), "--strategy", "sample", "--sample-n", "3", "--rng-seed", "1"]
+        assert run_cli(capsys, "mutate", *argv)[0] == 0
+        manifest = tmp_path / "corpus" / "manifest.jsonl"
+        mutant = json.loads(manifest.read_text(encoding="utf-8").splitlines()[1])["output_path"]
+        with open(mutant, "ab") as fh:
+            fh.write(b"\xe9")
+        message = run_fatal(capsys, "eval", "--manifest", str(manifest), "--predictor", "detector")
+        assert message.startswith(f"cannot read instance file {mutant}: 'utf-8' codec can't decode byte 0xe9 ")
 
     def test_empty_replay_log_is_named(self, capsys, tmp_path):
         log = tmp_path / "empty.jsonl"

@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import hybrid_precision, precision, recall
 from mock_backend import StubBackend
 
 from ritkit.detector import FineCategory, finding_key
@@ -20,10 +21,7 @@ from ritkit.evaluate import (
     echo_predictor,
     format_percent,
     ground_truth_from_manifest,
-    hybrid_precision,
     metrics_from_logs,
-    precision,
-    recall,
     render_metrics_table,
     run_experiment,
     score_prediction,
@@ -62,6 +60,12 @@ class TestScorePrediction:
         failure = ParseFailure("blank", "")
         assert not score_prediction(failure, "WAC", MULTI)
         assert not score_prediction(failure, "WAC", SINGLE)
+
+    def test_parse_failure_that_equals_a_label_tuple_is_still_a_failure(self):
+        failure = ParseFailure("WAC", "SAC")  # a tuple equal to the labels ("WAC", "SAC")
+        assert failure == ("WAC", "SAC") and not score_prediction(failure, "WAC", MULTI)
+        row, logs = run_experiment(MULTI, [entry(0, "WAC")], lambda e: failure)
+        assert logs == [InstanceLog("i0", "WAC", False, None, "WAC")] and row.parse_failures == 1
 
 
 class TestMetrics:

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import hashlib
 import io
 import json
-from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import pytest
@@ -61,7 +61,7 @@ RECORDS = {
     MutantRecord: st.builds(
         MutantRecord, TEXT, TEXT, CATEGORY, TEXT, TEXT, st.dictionaries(TEXT, TEXT, max_size=2), TEXT, st.none() | TEXT
     ),
-    GroundTruthEntry: st.builds(GroundTruthEntry, TEXT, TEXT, TEXT, TEXT, CATEGORY),
+    GroundTruthEntry: st.builds(GroundTruthEntry, TEXT, TEXT, TEXT, TEXT, CATEGORY, st.just("")),  # coarse from fine
     PredictionEntry: st.builds(PredictionEntry, TEXT, LABELS),
     InstanceLog: st.builds(InstanceLog, TEXT, TEXT, st.booleans(), st.none() | LABELS, st.none() | TEXT),
     AuditRecord: st.builds(AuditRecord, TEXT, TEXT, TEXT, st.booleans()),
@@ -77,15 +77,26 @@ def test_records_survive_a_round_trip(tmp_path_factory, data, cls):
     assert read_records(path, cls) == records
 
     # Without some optional keys, with a key no record has and with blank lines.
-    defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+    defaults = cls._field_defaults
     lines, expected = [], []
     for record in records:
         absent = data.draw(st.sets(st.sampled_from(sorted(defaults)))) if defaults else set()
         obj = {k: v for k, v in json.loads(dump_records([record])).items() if k not in absent}
         lines += ["", json.dumps({**obj, "unknown": [1]})]
-        expected.append(replace(record, **{k: defaults[k] for k in absent}))
+        expected.append(cls(**{**record._asdict(), **{k: defaults[k] for k in absent}}))
     path.write_text("\n".join(lines), encoding="utf-8")
     assert read_records(path, cls) == expected
+
+
+def test_the_round_trip_covers_every_record_type_read():
+    src = Path(__file__).parent.parent / "src" / "ritkit"
+    read = {
+        node.args[1].id
+        for path in src.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "read_records"
+    }
+    assert read and read <= {cls.__name__ for cls in RECORDS}
 
 
 def test_non_ascii_text_is_escaped_and_restored(tmp_path):
