@@ -504,6 +504,17 @@ class TestStartUp:
         not_loaded = not_loaded | {"dataclasses", "inspect"}
         assert "cli" in loaded and loaded.isdisjoint(not_loaded), sorted(loaded & not_loaded)
 
+    def test_detect_loads_neither_dataclasses_nor_inspect(self):
+        code = (
+            "import contextlib, io, sys\n"
+            "from ritkit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    main(['detect', {str(BENIGN)!r}])\n"
+            "sys.exit(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules) or None)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], env=self.ENV, timeout=60, capture_output=True, text=True)
+        assert (result.returncode, result.stderr) == (0, "")
+
     def test_backend_call_never_loads_requests(self):
         with MockBackendServer([(200, "WAC")], keep_alive=True) as server:
             code = (
