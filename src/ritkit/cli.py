@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING
 from . import __version__
 
 if TYPE_CHECKING:
-    from .config import BackendConfig
     from .evaluate import GroundTruthEntry
     from .prompts import ExperimentConfig
 
@@ -41,7 +40,7 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _collect_rules_files(paths: list[str]) -> list[Path]:
+def _collect_rules_files(paths: list[str] | list[Path]) -> list[Path]:
     files: list[Path] = []
     for raw in paths:
         p = Path(raw)
@@ -50,7 +49,7 @@ def _collect_rules_files(paths: list[str]) -> list[Path]:
         elif p.exists():
             files.append(p)
         else:
-            raise FileNotFoundError(raw)
+            raise FileNotFoundError(f"no such file or directory: {raw}")
     return files
 
 
@@ -68,7 +67,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     try:
         files = _collect_rules_files(args.paths)
     except FileNotFoundError as exc:
-        return _fail(f"no such file or directory: {exc}")
+        return _fail(str(exc))
     if not files:
         return _fail("no .rules files found")
 
@@ -108,21 +107,17 @@ def cmd_mutate(args: argparse.Namespace) -> int:
             return _fail(f"--sample-n must be >= 0, not {args.sample_n}")
         strategy = Sample(args.sample_n, args.rng_seed)
     else:
+        for flag, value in (("--sample-n", args.sample_n), ("--rng-seed", args.rng_seed)):
+            if value is not None:
+                return _fail(f"{flag} needs --strategy sample")
         strategy = Exhaustive()
     try:
         operators = tuple(FineCategory(name) for name in args.operators.split(",")) if args.operators else CATEGORY_ORDER
     except ValueError as exc:
         return _fail(f"unknown operator: {exc}")
 
-    seed_paths = args.seeds or [str(p) for p in bundled_seed_paths()]
     try:
-        seeds = []
-        for raw in seed_paths:
-            p = Path(raw)
-            if p.is_dir():
-                seeds.extend(Seed.load(f) for f in sorted(p.rglob("*.rules")))
-            else:
-                seeds.append(Seed.load(p))
+        seeds = [Seed.load(path) for path in _collect_rules_files(args.seeds or bundled_seed_paths())]
         manifest = generate_corpus(
             seeds,
             strategy,
@@ -142,10 +137,9 @@ def cmd_mutate(args: argparse.Namespace) -> int:
 # adjudicate
 
 
-def _make_adjudicator(args: argparse.Namespace, backend_config: BackendConfig | None):
+def _make_adjudicator(args: argparse.Namespace):
     """The adjudicator, and its HTTP backend (None for a stub)."""
     from .client import HttpBackend, StubAdjudicator
-    from .hybrid import ModelAdjudicator
 
     if args.stub:
         if args.stub in ("accept-all", "reject-all"):
@@ -157,6 +151,10 @@ def _make_adjudicator(args: argparse.Namespace, backend_config: BackendConfig | 
                 raise ValueError(f"table stub {table_path} must be a JSON object of booleans")
             return StubAdjudicator("table", table=table), None
         raise ValueError(f"unknown stub policy: {args.stub}")
+    from .config import load_config
+    from .hybrid import ModelAdjudicator
+
+    backend_config = load_config(args.config).backend if args.config else None
     if backend_config is None:
         raise ValueError("no backend configured; pass --stub or a config with a backend")
     backend = HttpBackend(backend_config)
@@ -164,10 +162,8 @@ def _make_adjudicator(args: argparse.Namespace, backend_config: BackendConfig | 
 
 
 def cmd_adjudicate(args: argparse.Namespace) -> int:
-    from .config import load_config
-
     try:
-        adjudicator, backend = _make_adjudicator(args, load_config(args.config).backend if args.config else None)
+        adjudicator, backend = _make_adjudicator(args)
     except (OSError, ValueError) as exc:  # a bad config (ConfigError), stub table or endpoint
         return _fail(str(exc))
     try:
@@ -216,10 +212,21 @@ def _reconcile(args: argparse.Namespace, adjudicator, jobs: int) -> int:
 # eval
 
 
-def _predictor_from_spec(
-    args: argparse.Namespace, dataset: list[GroundTruthEntry], config: ExperimentConfig, backend: BackendConfig | None
-):
-    """The `--predictor`, and its HTTP backend (None for the others); a bad spec is a ValueError."""
+# The optional flags that each `eval` input reads, `--manifest` being required where read; any other is refused.
+# `--predictor constant:<LABEL>` is one input whatever its label.
+_SCORED = ("--manifest", "--experiment", "--per-instance-log")
+EVAL_READS = {
+    "--replay": (),
+    "--predictions": _SCORED,
+    "--predictor echo": _SCORED,
+    "--predictor constant:": _SCORED,
+    "--predictor detector": (*_SCORED, "--lenient-matching"),
+    "--predictor backend": (*_SCORED, "--shots", "--config"),
+}
+
+
+def _predictor_from_spec(args: argparse.Namespace, dataset: list[GroundTruthEntry], config: ExperimentConfig):
+    """The `--predictor` (one that `EVAL_READS` names), and its HTTP backend (None for the others)."""
     from .evaluate import backend_predictor, constant_predictor, detector_predictor, echo_predictor
 
     spec = args.predictor
@@ -229,18 +236,17 @@ def _predictor_from_spec(
         return constant_predictor(spec.split(":", 1)[1]), None
     if spec == "detector":
         return detector_predictor(config.taxonomy, strict=not args.lenient_matching), None
-    if spec == "backend":
-        if backend is None:
-            raise ValueError("--predictor backend needs a config file with a backend section")
-        from .client import HttpBackend
+    from .client import HttpBackend  # `backend`, the one spec left
+    from .config import load_config
 
-        http = HttpBackend(backend)
-        return backend_predictor(config, http), http
-    raise ValueError(f"unknown predictor: {spec}")
+    backend = load_config(args.config).backend if args.config else None  # a bad config is a ConfigError
+    if backend is None:
+        raise ValueError("--predictor backend needs a config file with a backend section")
+    http = HttpBackend(backend)
+    return backend_predictor(config, http), http
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    from .config import load_config
     from .evaluate import (
         EXPERIMENT_CELLS,
         InstanceLog,
@@ -250,24 +256,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
         render_metrics_table,
         run_experiment,
     )
-    from .prompts import BACKEND_FAILURE, ExperimentConfig
+    from .prompts import BACKEND_FAILURE, COARSE_LABELS, FINE_LABELS, ExperimentConfig
     from .records import dump_records, read_records
 
-    overridden = [flag for flag, value in (("--taxonomy", args.taxonomy), ("--scoring", args.scoring)) if value]
-    if args.experiment and overridden:
-        return _fail(f"--experiment sets the taxonomy and scoring; drop {' and '.join(overridden)}")
-    unread = [
-        flag for flag, value in (("--manifest", args.manifest), ("--per-instance-log", args.per_instance_log)) if value
-    ]
-    if args.replay and unread:
-        return _fail(f"--replay recomputes the metrics of its log; drop {' and '.join(unread)}")
-    cell = EXPERIMENT_CELLS[args.experiment] if args.experiment else ExperimentConfig()
-    multi = cell.multi_response if args.scoring is None else args.scoring == "multi"
-    config = ExperimentConfig(args.taxonomy or cell.taxonomy, multi, args.shots)
-    try:
-        backend_config = load_config(args.config).backend if args.config else None
-    except ValueError as exc:  # a ConfigError
-        return _fail(str(exc))
+    given = "--replay" if args.replay else "--predictions" if args.predictions else f"--predictor {args.predictor}"
+    head, colon, _ = given.partition(":")
+    reads = EVAL_READS.get(head + colon)
+    if reads is None:
+        return _fail(f"unknown predictor: {args.predictor}")
+    for flag in sorted({flag for flags in EVAL_READS.values() for flag in flags}):
+        if flag not in reads and getattr(args, flag[2:].replace("-", "_")) not in (None, False):
+            return _fail(f"{given} does not read {flag}; drop it")
+    if "--manifest" in reads and not args.manifest:
+        return _fail(f"{given} needs --manifest")
 
     if args.replay:
         try:
@@ -276,10 +277,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
             return _fail(f"cannot load replay log {args.replay}: {exc}")
         if not logs:
             return _fail("replay log is empty")
-        row = metrics_from_logs(logs)
-        print(render_metrics_table(row, config.labels, name="replay"))
+        labels = COARSE_LABELS if all(log.truth in COARSE_LABELS for log in logs) else FINE_LABELS
+        print(render_metrics_table(metrics_from_logs(logs), labels, name="replay"))
         return EXIT_CLEAN
 
+    cell = EXPERIMENT_CELLS[args.experiment or "A"]
+    config = ExperimentConfig(cell.taxonomy, cell.multi_response, args.shots or 0)
     try:
         dataset = load_ground_truth(args.manifest)
     except (OSError, ValueError) as exc:
@@ -303,8 +306,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         backend = None
     else:
         try:
-            predictor, backend = _predictor_from_spec(args, dataset, config, backend_config)
-        except ValueError as exc:
+            predictor, backend = _predictor_from_spec(args, dataset, config)
+        except ValueError as exc:  # a bad backend config (ConfigError)
             return _fail(str(exc))
 
     try:
@@ -354,12 +357,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("adjudicate", help="reconcile a structured detector report")
     p.add_argument("report", help="structured report produced by `detect --format structured`")
-    p.add_argument("--stub", help="offline adjudicator: accept-all | reject-all | table:<json-path>")
+    adjudicator = p.add_mutually_exclusive_group()
+    adjudicator.add_argument("--stub", help="offline adjudicator: accept-all | reject-all | table:<json-path>")
+    adjudicator.add_argument("--config", help="path to a JSON tool config (backend settings live here)")
     p.add_argument("--routed", help="comma-separated categories to adjudicate (default WAC,WTC)")
     p.add_argument("--audit-log", help="write per-subtask audit records (JSONL) here")
     p.add_argument("--format", choices=("text", "structured"), default="text", help="final report format")
     p.add_argument("--out", help="write the final report to a file instead of stdout")
-    p.add_argument("--config", help="path to a JSON tool config (backend settings live here)")
     p.set_defaults(func=cmd_adjudicate)
 
     p = sub.add_parser("eval", help="score predictions against a ground-truth manifest")
@@ -369,9 +373,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     mode.add_argument("--predictor", help="predictor: echo | detector | constant:<LABEL> | backend")
     mode.add_argument("--replay", help="recompute metrics from a per-instance log")
     p.add_argument("--experiment", choices=("A", "B", "C", "D"), help="preset cell: A/B six-class, C/D three-class")
-    p.add_argument("--taxonomy", choices=("six", "three"), help="label granularity")
-    p.add_argument("--scoring", choices=("multi", "single"), help="multiple responses allowed or not")
-    p.add_argument("--shots", type=int, choices=(0, 1, 2), default=0, help="examples per category in prompts")
+    p.add_argument("--shots", type=int, choices=(0, 1, 2), help="examples per category in backend prompts (default 0)")
     p.add_argument("--lenient-matching", action="store_true", help="detector predictor uses lenient event matching")
     p.add_argument("--per-instance-log", help="write the replayable per-instance log here")
     p.add_argument("--config", help="path to a JSON tool config (backend predictor settings)")
@@ -380,10 +382,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
-    if args.command == "eval" and not (args.replay or args.manifest):
-        parser.error("eval requires --manifest (or --replay)")
+    args = build_arg_parser().parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:  # the exit-code contract: never exit 1 on a crash

@@ -16,6 +16,7 @@ from ritkit.config import BackendConfig, ConfigError, ToolConfig, load_config
 from ritkit.detector import FineCategory, detect_file, finding_key
 from ritkit.hybrid import DEFAULT_ROUTED_SET
 from ritkit.parser import parse_ruleset
+from ritkit.prompts import COARSE_LABELS, FINE_LABELS
 from ritkit.report import parse_structured, render_structured, render_structured_lines, render_text
 from ritkit.source import SourceFile
 
@@ -162,7 +163,7 @@ class TestMutateAndEvalCommands:
         unread = {"--manifest": manifest, "--per-instance-log": str(tmp_path / "again.jsonl")}
         for flag, value in unread.items():
             message = run_fatal(capsys, "eval", "--replay", log, flag, value)
-            assert message == f"--replay recomputes the metrics of its log; drop {flag}"
+            assert message == f"--replay does not read {flag}; drop it"
         assert not (tmp_path / "again.jsonl").exists()
 
     def test_eval_detector_miss_is_not_a_parse_failure(self, capsys, tmp_path):
@@ -174,7 +175,7 @@ class TestMutateAndEvalCommands:
         assert code == 0
         code, out, _ = run_cli(
             capsys, "eval", "--manifest", str(out_dir / "manifest.jsonl"), "--predictor", "detector",
-            "--taxonomy", "three", "--scoring", "single",
+            "--experiment", "D",
         )
         assert code == 0
         assert out.splitlines()[-1] == "samples: 12, parse failures: 0" and "0.00%" in out
@@ -307,12 +308,20 @@ class TestMutateAndEvalCommands:
         assert code == 0
         assert "AC" in out and "WAC" not in out
 
-    @pytest.mark.parametrize("flag, value", [("--taxonomy", "three"), ("--taxonomy", "six"), ("--scoring", "single")])
-    def test_eval_experiment_with_taxonomy_or_scoring_is_fatal(self, capsys, corpus, flag, value):
-        argv = ["eval", "--manifest", str(corpus / "manifest.jsonl"), "--predictor", "echo", "--experiment", "A"]
-        code, out, err = run_cli(capsys, *argv, flag, value)
-        assert (code, out) == (2, "")
-        assert err.count("\n") == 1 and err.startswith("error: --experiment ") and flag in err
+    @pytest.mark.parametrize("cell", ["A", "B", "C", "D"])
+    def test_eval_replay_prints_the_columns_of_its_log(self, capsys, corpus, tmp_path, cell):
+        log = str(tmp_path / "log.jsonl")
+        argv = ["eval", "--manifest", str(corpus / "manifest.jsonl"), "--predictor", "echo", "--experiment", cell]
+        code, live_out, _ = run_cli(capsys, *argv, "--per-instance-log", log)
+        assert code == 0
+        code, replay_out, _ = run_cli(capsys, "eval", "--replay", log)
+        assert code == 0
+        # Only the row name, and so the width of the name column, differs.
+        live, replay = ([re.split(r" \| |-\+-", line) for line in out.splitlines()] for out in (live_out, replay_out))
+        assert (live[2][0].strip(), replay[2][0].strip()) == ("echo", "replay")
+        assert [row[1:] for row in live[:3]] + live[3:] == [row[1:] for row in replay[:3]] + replay[3:]
+        labels = COARSE_LABELS if cell in "CD" else FINE_LABELS
+        assert [header.strip() for header in replay[0][1:]] == [*labels, "Total"]
 
     def test_eval_detector_lenient_matching_flag(self, capsys, tmp_path):
         # Every postUpdate cascade variant of the bundled seeds is a strict miss.
@@ -325,6 +334,54 @@ class TestMutateAndEvalCommands:
         assert strict_out.splitlines()[2].endswith("| 0.00%")
         assert flag_out.splitlines()[2].endswith("| 100.00%")
         assert flag_out.splitlines()[-1] == "samples: 140, parse failures: 0"
+
+
+# The optional flags that each `eval` input reads; `--manifest` is also required where it is read.
+SCORED = ("--manifest", "--experiment", "--per-instance-log")
+EVAL_INPUTS = {
+    "--replay": (),
+    "--predictions": SCORED,
+    "--predictor echo": SCORED,
+    "--predictor constant:WAC": SCORED,
+    "--predictor detector": (*SCORED, "--lenient-matching"),
+    "--predictor backend": (*SCORED, "--shots", "--config"),
+}
+EVAL_FLAGS = {
+    "--manifest": ["manifest.jsonl"],
+    "--experiment": ["C"],
+    "--shots": ["2"],
+    "--lenient-matching": [],
+    "--per-instance-log": ["again.jsonl"],
+    "--config": ["config.json"],
+}
+
+
+def eval_input(given: str) -> list[str]:
+    """The argv of an `EVAL_INPUTS` key: a `--predictor` spec, or a file for `--replay` or `--predictions`."""
+    return given.split() if given.startswith("--predictor ") else [given, "input.jsonl"]
+
+
+class TestEvalInputs:
+    """Each `eval` input refuses, before it reads any file, an optional flag it does not read."""
+
+    @pytest.mark.parametrize(
+        "given, flag",
+        [(given, flag) for given, reads in EVAL_INPUTS.items() for flag in EVAL_FLAGS if flag not in reads],
+    )
+    def test_a_flag_the_input_does_not_read_is_fatal(self, capsys, tmp_path, monkeypatch, given, flag):
+        monkeypatch.chdir(tmp_path)  # no file named here exists
+        manifest = [] if given == "--replay" else ["--manifest", "manifest.jsonl"]
+        message = run_fatal(capsys, "eval", *eval_input(given), *manifest, flag, *EVAL_FLAGS[flag])
+        assert message == f"{given} does not read {flag}; drop it"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("given", [given for given in EVAL_INPUTS if given != "--replay"])
+    def test_every_input_but_replay_needs_a_manifest(self, capsys, given):
+        assert run_fatal(capsys, "eval", *eval_input(given)) == f"{given} needs --manifest"
+
+    @pytest.mark.parametrize("spec", ["bogus", "constant", "echo:SAC", "Detector"])
+    def test_unknown_predictor_is_fatal(self, capsys, spec):
+        assert run_fatal(capsys, "eval", "--predictor", spec) == f"unknown predictor: {spec}"
 
 
 class TestAdjudicateCommand:
@@ -435,7 +492,7 @@ class TestConfig:
             load_config(path)
         report = tmp_path / "report.json"
         run_cli(capsys, "detect", str(BENIGN), "--format", "structured", "--out", str(report))
-        code, out, err = run_cli(capsys, "adjudicate", str(report), "--stub", "accept-all", "--config", str(path))
+        code, out, err = run_cli(capsys, "adjudicate", str(report), "--config", str(path))
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and err.startswith("error: ") and message in err
 
@@ -475,12 +532,12 @@ class TestStartUp:
         [
             (["detect", str(BENIGN)], {"config", "mutate", "evaluate", "hybrid", "client", "prompts"}),
             (["mutate", str(BENIGN), "--out-dir", "{out}", "--operators", "SAC"], {"evaluate", "hybrid", "client", "prompts"}),
-            (["eval", "--manifest", "{manifest}", "--predictor", "detector"], {"hybrid", "client"}),
-            (["eval", "--manifest", "{manifest}", "--predictor", "echo"], {"hybrid", "client"}),
-            (["eval", "--manifest", "{manifest}", "--predictor", "constant:WAC"], {"hybrid", "client"}),
-            (["eval", "--manifest", "{manifest}", "--predictions", "{predictions}"], {"hybrid", "client"}),
-            (["eval", "--replay", "{log}"], {"hybrid", "client"}),
-            (["adjudicate", "{report}", "--stub", "accept-all"], {"mutate", "evaluate"}),
+            (["eval", "--manifest", "{manifest}", "--predictor", "detector"], {"config", "hybrid", "client"}),
+            (["eval", "--manifest", "{manifest}", "--predictor", "echo"], {"config", "hybrid", "client"}),
+            (["eval", "--manifest", "{manifest}", "--predictor", "constant:WAC"], {"config", "hybrid", "client"}),
+            (["eval", "--manifest", "{manifest}", "--predictions", "{predictions}"], {"config", "hybrid", "client"}),
+            (["eval", "--replay", "{log}"], {"config", "hybrid", "client"}),
+            (["adjudicate", "{report}", "--stub", "accept-all"], {"config", "mutate", "evaluate"}),
         ],
         ids=["detect", "mutate", "eval-detector", "eval-echo", "eval-constant", "eval-predictions", "eval-replay",
              "adjudicate-stub"],
@@ -542,8 +599,6 @@ class TestHelp:
                 "--predictor",
                 "--replay",
                 "--experiment",
-                "--taxonomy",
-                "--scoring",
                 "--shots",
                 "--lenient-matching",
                 "--per-instance-log",
@@ -559,6 +614,14 @@ class TestHelp:
             help_text = capsys.readouterr().out
             for flag in flags:
                 assert flag in help_text, f"{command} help is missing {flag}"
+
+    def test_every_flag_the_readme_names_is_an_option(self):
+        parser = build_arg_parser()
+        commands = parser._subparsers._group_actions[0].choices.values()
+        options = {opt for p in (parser, *commands) for action in p._actions for opt in action.option_strings}
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme)) - {"--no-build-isolation"}  # a pip flag
+        assert named and named <= options, sorted(named - options)
 
     def test_experiment_choices_are_the_cells(self):
         from ritkit.evaluate import EXPERIMENT_CELLS
@@ -799,6 +862,18 @@ class TestExitCodeContract:
         argv = ["mutate", "--out-dir", str(tmp_path / "x"), "--strategy", "sample", "--sample-n", "-1", "--rng-seed", "1"]
         assert run_fatal(capsys, *argv) == "--sample-n must be >= 0, not -1"
 
+    @pytest.mark.parametrize("flag", ["--sample-n", "--rng-seed"])
+    @pytest.mark.parametrize("strategy", [[], ["--strategy", "exhaustive"]], ids=["default", "exhaustive"])
+    def test_sample_flag_without_sampling_is_fatal(self, capsys, tmp_path, strategy, flag):
+        message = run_fatal(capsys, "mutate", "--out-dir", str(tmp_path / "x"), *strategy, flag, "3")
+        assert message == f"{flag} needs --strategy sample"
+        assert not (tmp_path / "x").exists()
+
+    def test_missing_seed_is_named(self, capsys, tmp_path):
+        missing = tmp_path / "missing.rules"
+        message = run_fatal(capsys, "mutate", str(BENIGN), str(missing), "--out-dir", str(tmp_path / "x"))
+        assert message == f"no such file or directory: {missing}"
+
     def test_seed_that_is_not_utf8_is_named(self, capsys, tmp_path):
         seed = tmp_path / "latin1.rules"
         seed.write_bytes(BENIGN.read_bytes() + "// caf\xe9\n".encode("latin-1"))
@@ -819,6 +894,17 @@ class TestExitCodeContract:
         log = tmp_path / "empty.jsonl"
         log.write_text("", encoding="utf-8")
         assert run_fatal(capsys, "eval", "--replay", str(log)) == "replay log is empty"
+
+    def test_stub_and_config_exclude_each_other(self, capsys, tmp_path, report_path):
+        argv = ["adjudicate", str(report_path), "--stub", "accept-all", "--config", str(tmp_path / "nonexistent.json")]
+        assert run_usage_error(capsys, *argv) == "argument --config: not allowed with argument --stub"
+
+    @pytest.mark.parametrize("config", [None, {}, {"backend": None}], ids=["no-config", "empty", "null-backend"])
+    def test_adjudicate_without_a_backend_is_fatal(self, capsys, tmp_path, report_path, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv = ["adjudicate", str(report_path)] + ([] if config is None else ["--config", str(path)])
+        assert run_fatal(capsys, *argv) == "no backend configured; pass --stub or a config with a backend"
 
     def test_table_stub_must_map_keys_to_booleans(self, capsys, tmp_path, report_path):
         for doc in ([], {"SAC:r1:r2:r1a1:r2a1": "yes"}):
