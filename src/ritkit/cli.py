@@ -140,15 +140,17 @@ def cmd_mutate(args: argparse.Namespace) -> int:
 def _make_adjudicator(args: argparse.Namespace):
     """The adjudicator, and its HTTP backend (None for a stub)."""
     from .client import HttpBackend, StubAdjudicator
+    from .records import loads
 
     if args.stub:
         if args.stub in ("accept-all", "reject-all"):
             return StubAdjudicator(args.stub), None
         if args.stub.startswith("table:"):
             table_path = args.stub.split(":", 1)[1]
-            table = json.loads(Path(table_path).read_text(encoding="utf-8"))
-            if not isinstance(table, dict) or not all(isinstance(v, bool) for v in table.values()):
-                raise ValueError(f"table stub {table_path} must be a JSON object of booleans")
+            try:
+                table = loads(Path(table_path).read_text(encoding="utf-8"), dict[str, bool])
+            except (OSError, ValueError) as exc:
+                raise ValueError(f"cannot load table stub {table_path}: {exc}") from exc
             return StubAdjudicator("table", table=table), None
         raise ValueError(f"unknown stub policy: {args.stub}")
     from .config import load_config
@@ -233,7 +235,10 @@ def _predictor_from_spec(args: argparse.Namespace, dataset: list[GroundTruthEntr
     if spec == "echo":
         return echo_predictor(dataset, config.taxonomy), None
     if spec.startswith("constant:"):
-        return constant_predictor(spec.split(":", 1)[1]), None
+        label = spec.split(":", 1)[1]
+        if label not in config.labels:
+            raise ValueError(f"{spec} is not a label of cell {args.experiment or 'A'} ({', '.join(config.labels)})")
+        return constant_predictor(label), None
     if spec == "detector":
         return detector_predictor(config.taxonomy, strict=not args.lenient_matching), None
     from .client import HttpBackend  # `backend`, the one spec left
@@ -249,15 +254,15 @@ def _predictor_from_spec(args: argparse.Namespace, dataset: list[GroundTruthEntr
 def cmd_eval(args: argparse.Namespace) -> int:
     from .evaluate import (
         EXPERIMENT_CELLS,
-        InstanceLog,
         load_ground_truth,
         load_predictions,
+        load_replay,
         metrics_from_logs,
         render_metrics_table,
         run_experiment,
     )
-    from .prompts import BACKEND_FAILURE, COARSE_LABELS, FINE_LABELS, ExperimentConfig
-    from .records import dump_records, read_records
+    from .prompts import BACKEND_FAILURE, ExperimentConfig
+    from .records import dump_records
 
     given = "--replay" if args.replay else "--predictions" if args.predictions else f"--predictor {args.predictor}"
     head, colon, _ = given.partition(":")
@@ -272,12 +277,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     if args.replay:
         try:
-            logs = read_records(args.replay, InstanceLog)
+            logs, labels = load_replay(args.replay)
         except (OSError, ValueError) as exc:
             return _fail(f"cannot load replay log {args.replay}: {exc}")
         if not logs:
             return _fail("replay log is empty")
-        labels = COARSE_LABELS if all(log.truth in COARSE_LABELS for log in logs) else FINE_LABELS
         print(render_metrics_table(metrics_from_logs(logs), labels, name="replay"))
         return EXIT_CLEAN
 
@@ -307,7 +311,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     else:
         try:
             predictor, backend = _predictor_from_spec(args, dataset, config)
-        except ValueError as exc:  # a bad backend config (ConfigError)
+        except ValueError as exc:  # a label outside the cell, or a bad backend config (ConfigError)
             return _fail(str(exc))
 
     try:

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, NamedTuple, TypeVar
 from .detector import FineCategory, aggregate
 from .mutate import MutantManifest
 from .ordered import ordered_map
-from .prompts import BACKEND_FAILURE, BackendError, ExperimentConfig, ParseFailure
+from .prompts import BACKEND_FAILURE, COARSE_LABELS, FINE_LABELS, BackendError, ExperimentConfig, ParseFailure
 from .records import read_records
 from .source import SourceFile
 
@@ -47,24 +47,14 @@ class GroundTruthEntry(_GroundTruthFields):
         return self.fine if taxonomy == "six" else self.coarse
 
 
-class _PredictionFields(NamedTuple):
+class PredictionEntry(NamedTuple):
+    """One line of a predictions file."""
+
     instance_id: str
     labels: tuple[str, ...]
 
 
-class PredictionEntry(_PredictionFields):
-    """One line of a predictions file."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args: object, **kwargs: object) -> PredictionEntry:
-        self = super().__new__(cls, *args, **kwargs)
-        if not isinstance(self.labels, tuple) or not all(isinstance(label, str) for label in self.labels):
-            raise ValueError(f"instance {self.instance_id}: labels must be a JSON list of strings")
-        return self
-
-
-R = TypeVar("R", GroundTruthEntry, PredictionEntry)
+R = TypeVar("R", GroundTruthEntry, PredictionEntry, "InstanceLog")
 
 
 def _check_unique_ids(entries: list[R]) -> list[R]:
@@ -110,6 +100,17 @@ def load_ground_truth(path: str | Path) -> list[GroundTruthEntry]:
 def load_predictions(path: str | Path) -> dict[str, tuple[str, ...]]:
     """Labels by instance id; an id on two lines is a ValueError."""
     return {p.instance_id: p.labels for p in _check_unique_ids(read_records(path, PredictionEntry))}
+
+
+def load_replay(path: str | Path) -> tuple[list[InstanceLog], tuple[str, ...]]:
+    """A per-instance log and its columns, the one label set that holds every truth; else a ValueError."""
+    logs = _check_unique_ids(read_records(path, InstanceLog))
+    truths = {log.truth for log in logs}
+    for labels in (COARSE_LABELS, FINE_LABELS):
+        if truths <= set(labels):
+            return logs, labels
+    unknown = sorted(truths - {*COARSE_LABELS, *FINE_LABELS})
+    raise ValueError(f"truth {unknown[0]!r} is not a label" if unknown else "truths mix six- and three-class labels")
 
 
 # The four evaluation cells; mutation runs reuse them as dataset choices.

@@ -1,23 +1,92 @@
-"""The JSON-lines format of every flat record file.
+"""The one reader of outside JSON, and the JSON-lines format of every flat record file.
 
-Mutation manifests, ground truth, predictions, per-instance logs and audit
-logs each hold one record (a `NamedTuple`) per line: a JSON object whose keys
-are the field names, sorted. Reading skips blank lines and ignores keys the
-record does not have; an absent optional key takes its field's default, a
-JSON array value becomes a tuple, and a field annotated `str`, `str | None`
-or `bool` must hold a string, a string or null, or a boolean.
+Reports, configs, table stubs and record files are all read through
+`from_json`. Mutation manifests, ground truth, predictions, per-instance logs
+and audit logs each hold one record (a `NamedTuple`) per line: a JSON object
+whose keys are the field names, sorted. Reading skips blank lines.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+from enum import Enum
 from pathlib import Path
-from typing import Iterable, TypeVar
+from types import UnionType
+from typing import Any, Iterable, Literal, TypeVar, Union, get_args, get_origin, get_type_hints
 
 R = TypeVar("R")
 
-# Field annotation -> the JSON values it accepts, and how to name them.
-_CHECKED = {"str": (str, "a string"), "str | None": ((str, type(None)), "a string"), "bool": (bool, "true or false")}
+# A scalar type -> how it is named, and the JSON values it takes.
+_SCALARS = {
+    str: ("a string", lambda v: isinstance(v, str)),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)),
+}
+
+_hints = functools.cache(get_type_hints)  # a record's field types, resolved once per class
+
+
+def from_json(value: Any, kind: Any, path: str = "", closed: bool = False) -> Any:
+    """A value of type `kind` built from decoded JSON.
+
+    `kind` is `str`, `bool`, `int` (not a bool), `float` (a finite int or
+    float, not a bool), a `Literal`, an `Enum` (built from its value),
+    `X | None`, `tuple[X, ...]`, `tuple[X, Y]`, `dict[str, X]` or a
+    `NamedTuple` of these. A record's absent optional key takes its default;
+    an unknown key is ignored, or refused when `closed`. Any other mismatch
+    is a ValueError `<path> must be <kind>` or `<path>: missing key 'k'`
+    (`unknown key 'k'`), where `path` is a key path such as
+    `findings[1].rule_b.name`; a ValueError from a record's own `__new__`
+    gets `<path>: ` in front.
+    """
+    origin, args = get_origin(kind), get_args(kind)
+    if origin in (Union, UnionType):  # X | None, named by X
+        return None if value is None else from_json(value, next(a for a in args if a is not type(None)), path, closed)
+    if kind in _SCALARS:
+        name, fits = _SCALARS[kind]
+        if fits(value):
+            return value
+    elif origin is Literal:
+        name = " or ".join(map(repr, args))
+        if any(type(value) is type(arg) and value == arg for arg in args):
+            return value
+    elif isinstance(kind, type) and issubclass(kind, Enum):
+        name = "one of " + ", ".join(member.value for member in kind)
+        if any(value == member.value for member in kind):
+            return kind(value)
+    elif origin is tuple:
+        name = "a list" if args[-1] is Ellipsis else f"a list of {len(args)} values"
+        kinds = args[:1] * len(value) if args[-1] is Ellipsis and isinstance(value, list) else args
+        if isinstance(value, list) and len(value) == len(kinds):
+            return tuple(from_json(item, k, f"{path}[{i}]", closed) for i, (item, k) in enumerate(zip(value, kinds)))
+    elif not isinstance(value, dict):
+        name = "a JSON object"
+    elif origin is dict:
+        return {key: from_json(item, args[1], f"{path}[{json.dumps(key)}]", closed) for key, item in value.items()}
+    else:  # a NamedTuple
+        at, hints = f"{path}: " if path else "", _hints(kind)
+        unknown = sorted(key for key in value if key not in hints) if closed else ()
+        if unknown:
+            raise ValueError(f"{at}unknown key {unknown[0]!r}")
+        fields = {}
+        for field, hint in hints.items():  # in declared order, so the first field is checked first
+            if field in value:
+                fields[field] = from_json(value[field], hint, f"{path}.{field}" if path else field, closed)
+            elif field not in kind._field_defaults:
+                raise ValueError(f"{at}missing key {field!r}")
+        try:
+            return kind(**fields)
+        except ValueError as exc:
+            raise ValueError(f"{at}{exc}") from exc
+    raise ValueError(f"{path} must be {name}" if path else f"not {name}")
+
+
+def loads(text: str, kind: type[R], closed: bool = False) -> R:
+    """`from_json` of a JSON text; text that is not JSON is a `json.JSONDecodeError` (a ValueError)."""
+    return from_json(json.loads(text), kind, closed=closed)
 
 
 def dump_records(records: Iterable) -> str:
@@ -25,31 +94,12 @@ def dump_records(records: Iterable) -> str:
 
 
 def read_records(path: str | Path, cls: type[R]) -> list[R]:
-    """The records of one file, in order.
-
-    A line that is not a JSON object, lacks a required key, holds a value
-    of the wrong type in a checked field, or whose record raises ValueError
-    raises ValueError("line N: ...").
-    """
-    required = [name for name in cls._fields if name not in cls._field_defaults]
-    declared = next(k for k in cls.__mro__ if tuple in k.__bases__)  # made by typing.NamedTuple, with ForwardRefs
-    annotations = {name: getattr(t, "__forward_arg__", t) for name, t in declared.__annotations__.items()}
-    checked = {name: _CHECKED[t] for name, t in annotations.items() if t in _CHECKED}
+    """The records of one file, in order; a bad line raises ValueError("line N: ...")."""
     out = []
     for n, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)  # json.JSONDecodeError is a ValueError
-            if not isinstance(obj, dict):
-                raise ValueError("not a JSON object")
-            missing = [name for name in required if name not in obj]
-            if missing:
-                raise ValueError(f"missing key {missing[0]!r}")
-            for name, (types, described) in checked.items():
-                if name in obj and not isinstance(obj[name], types):
-                    raise ValueError(f"{name} must be {described}")
-            out.append(cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in obj.items() if k in cls._fields}))
-        except ValueError as exc:
-            raise ValueError(f"line {n}: {exc}") from exc
+        if line.strip():
+            try:
+                out.append(loads(line, cls))
+            except ValueError as exc:
+                raise ValueError(f"line {n}: {exc}") from exc
     return out

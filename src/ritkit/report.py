@@ -3,16 +3,9 @@
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Literal, NamedTuple
 
-from .detector import (
-    CoarseCategory,
-    EvidenceRef,
-    FineCategory,
-    Finding,
-    FindingReport,
-    RuleRef,
-)
+from .detector import CoarseCategory, EvidenceRef, Finding, FindingReport
 
 SCHEMA_VERSION = 1
 
@@ -112,46 +105,6 @@ def finding_to_json(f: Finding) -> dict[str, Any]:
     }
 
 
-def _ref_from_json(obj: Any, key: str, cls: Any = EvidenceRef) -> Any:
-    """A `cls` from a JSON object of strings; anything else is a ValueError that names `key`."""
-    if isinstance(obj, dict) and all(isinstance(obj.get(name), str) for name in cls._fields):
-        return cls(*(obj[name] for name in cls._fields))
-    raise ValueError(f"{key} must be an object with string {' and '.join(cls._fields)}")
-
-
-def _list(value: Any, key: str) -> list:
-    if not isinstance(value, list):
-        raise ValueError(f"{key} must be a list")
-    return value
-
-
-def finding_from_json(obj: Any) -> Finding:
-    """A finding from its JSON form; a missing key or a bad value is a ValueError that names it."""
-    if not isinstance(obj, dict):
-        raise ValueError("not a JSON object")
-    missing = [key for key in Finding._fields if key not in obj]
-    if missing:
-        raise ValueError(f"missing key {missing[0]!r}")
-    pair = obj["threat_pair"]
-    if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(ref, str) for ref in pair)):
-        raise ValueError("threat_pair must be a list of two strings")
-    if not isinstance(obj["description"], str):
-        raise ValueError("description must be a string")
-    finding = Finding(
-        category=FineCategory(obj["category"]),
-        rule_a=_ref_from_json(obj["rule_a"], "rule_a", RuleRef),
-        rule_b=_ref_from_json(obj["rule_b"], "rule_b", RuleRef),
-        threat_pair=tuple(pair),
-        description=obj["description"],
-        **{key: tuple(_ref_from_json(ref, key) for ref in _list(obj[key], key)) for key in _REF_LISTS},
-        **{key: None if obj[key] is None else _ref_from_json(obj[key], key) for key in _NULLABLE_REFS},
-    )
-    absent = [key for key in _SHOWN_REFS[finding.coarse.value] if getattr(finding, key) is None]
-    if absent:
-        raise ValueError(f"{absent[0]} must not be null in a {finding.category.value} finding")
-    return finding
-
-
 def report_to_json(report: FindingReport) -> dict[str, Any]:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -161,31 +114,27 @@ def report_to_json(report: FindingReport) -> dict[str, Any]:
     }
 
 
-def report_from_json(obj: Any) -> FindingReport:
-    """A report from its JSON form; a bad one is a ValueError that names the key and the finding."""
-    if not isinstance(obj, dict):
-        raise ValueError("not a JSON object")
-    version = obj.get("schema_version")
-    if type(version) is not int or version != SCHEMA_VERSION:  # true and 1.0 equal 1 but are not version 1
-        raise ValueError(f"unsupported report schema version: {version!r}")
-    if not isinstance(obj.get("file"), str):
-        raise ValueError("file must be a string")
-    findings = []
-    for i, finding in enumerate(_list(obj.get("findings"), "findings")):
-        try:
-            findings.append(finding_from_json(finding))
-        except ValueError as exc:
-            raise ValueError(f"finding {i}: {exc}") from None
-    return FindingReport(file=obj["file"], findings=tuple(findings))
-
-
 def render_structured(report: FindingReport) -> str:
     """Single-document JSON rendering (lossless, sorted keys)."""
     return json.dumps(report_to_json(report), indent=2, sort_keys=True) + "\n"
 
 
+class _Document(NamedTuple):  # the structured form as read
+    schema_version: Literal[1]  # SCHEMA_VERSION, read first; true and 1.0 equal 1 but are not version 1
+    file: str
+    findings: tuple[Finding, ...]
+
+
 def parse_structured(text: str) -> FindingReport:
-    return report_from_json(json.loads(text))
+    """A report from its JSON form; a bad one is a ValueError that names the key path."""
+    from .records import loads  # here, so that `detect` never loads it
+
+    doc = loads(text, _Document)
+    for i, finding in enumerate(doc.findings):
+        absent = [key for key in _SHOWN_REFS[finding.coarse.value] if getattr(finding, key) is None]
+        if absent:
+            raise ValueError(f"findings[{i}].{absent[0]} must not be null in a {finding.category.value} finding")
+    return FindingReport(doc.file, doc.findings)
 
 
 def render_structured_lines(reports: list[FindingReport]) -> str:

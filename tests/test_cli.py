@@ -205,8 +205,7 @@ class TestMutateAndEvalCommands:
                 fh.write(json.dumps({"instance_id": record["mutant_id"], "labels": labels if k == 2 else ["SAC"]}) + "\n")
         code, out, err = run_cli(capsys, "eval", "--manifest", str(manifest), "--predictions", str(predictions))
         assert code == 2 and out == ""
-        assert err.startswith(f"error: cannot load predictions {predictions}: ") and err.count("\n") == 1
-        assert records[2]["mutant_id"] in err
+        assert err == f"error: cannot load predictions {predictions}: line 3: labels must be a list\n"
 
     @pytest.mark.parametrize(
         "line, problem",
@@ -259,10 +258,15 @@ class TestMutateAndEvalCommands:
             ("--replay", [{"instance_id": "a", "truth": "SAC", "correct": False, "failure": 5}],
              "line 2: failure must be a string"),
             ("--replay", [{"instance_id": "a", "truth": "SAC", "correct": "yes"}], "line 2: correct must be true or false"),
+            ("--manifest", [MUTANT, {**MUTANT, "mutant_id": "m2", "injected": 5}], "line 3: injected must be a JSON object"),
+            ("--manifest", [{**MUTANT, "injected": {"item": 5}}], 'line 2: injected["item"] must be a string'),
+            ("--replay", [{"instance_id": "a", "truth": "SAC", "correct": True, "labels": [1, 2]}],
+             "line 2: labels[0] must be a string"),
         ],
         ids=["gt-not-an-object", "gt-no-source", "manifest-not-an-object", "manifest-no-output-path",
              "manifest-bad-operator", "log-not-an-object", "log-no-correct", "gt-dict-id", "manifest-list-id",
-             "log-dict-truth", "log-number-failure", "log-string-correct"],
+             "log-dict-truth", "log-number-failure", "log-string-correct", "manifest-number-injected",
+             "manifest-number-injected-value", "log-number-labels"],
     )
     def test_eval_malformed_record_line_is_named(self, capsys, tmp_path, flag, lines, problem):
         path = tmp_path / "records.jsonl"
@@ -273,6 +277,29 @@ class TestMutateAndEvalCommands:
         kind = "manifest" if flag == "--manifest" else "replay log"
         assert (code, out) == (2, "")
         assert err == f"error: cannot load {kind} {path}: {problem}\n"
+
+    @pytest.mark.parametrize(
+        "label, experiment", [("XYZ", []), ("AC", ["--experiment", "A"]), ("SAC", ["--experiment", "C"])]
+    )
+    def test_eval_constant_label_outside_the_cell_is_fatal(self, capsys, corpus, label, experiment):
+        cell = experiment[1] if experiment else "A"
+        argv = ["eval", "--manifest", str(corpus / "manifest.jsonl"), "--predictor", f"constant:{label}", *experiment]
+        labels = ", ".join(COARSE_LABELS if cell in "CD" else FINE_LABELS)
+        assert run_fatal(capsys, *argv) == f"constant:{label} is not a label of cell {cell} ({labels})"
+
+    @pytest.mark.parametrize(
+        "logs, problem",
+        [
+            ([("a", "XYZ", True), ("b", "SAC", False)], "truth 'XYZ' is not a label"),
+            ([("a", "SAC", True), ("b", "AC", False)], "truths mix six- and three-class labels"),
+            ([("a", "AC", True), ("b", "TC", False), ("a", "AC", True)], "duplicate instance id: a"),
+        ],
+        ids=["unknown-truth", "mixed-taxonomies", "duplicate-id"],
+    )
+    def test_eval_replay_of_a_log_it_cannot_score_is_fatal(self, capsys, tmp_path, logs, problem):
+        log = tmp_path / "log.jsonl"
+        log.write_text("".join(json.dumps(dict(zip(("instance_id", "truth", "correct"), line))) + "\n" for line in logs))
+        assert run_fatal(capsys, "eval", "--replay", str(log)) == f"cannot load replay log {log}: {problem}"
 
     def test_failed_mutate_run_leaves_no_mutants(self, capsys, tmp_path):
         seed = tmp_path / "gen67.rules"
@@ -441,14 +468,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="tempratur"):
             load_config(path)
         path.write_text(json.dumps({"backend": {"endpoint": "http://x"}}), encoding="utf-8")
-        with pytest.raises(ConfigError, match="^bad backend config: missing model$"):
+        with pytest.raises(ConfigError, match="^bad config: backend: missing key 'model'$"):
             load_config(path)
 
     def test_bad_category_rejected(self, tmp_path):
         # The routed set is `adjudicate --routed` alone; a config that names one is rejected whole.
         path = tmp_path / "cats.json"
         path.write_text(json.dumps({"routed_set": ["WAC", "XYZ"]}), encoding="utf-8")
-        with pytest.raises(ConfigError, match="^unknown config keys: routed_set$"):
+        with pytest.raises(ConfigError, match="^bad config: unknown key 'routed_set'$"):
             load_config(path)
 
     def test_detect_takes_no_config(self, capsys, tmp_path):
@@ -464,13 +491,13 @@ class TestConfig:
     @pytest.mark.parametrize(
         "doc, message",
         [
-            ({"strict_event_matching": "false"}, "unknown config keys: strict_event_matching"),
-            ({"strict_event_matching": 0}, "unknown config keys: strict_event_matching"),
-            ({"routed_set": 5}, "unknown config keys: routed_set"),
-            ({"routed_set": "WAC"}, "unknown config keys: routed_set"),
-            ({"routed_set": ["WAC", 5]}, "unknown config keys: routed_set"),
+            ({"strict_event_matching": "false"}, "bad config: unknown key 'strict_event_matching'"),
+            ({"strict_event_matching": 0}, "bad config: unknown key 'strict_event_matching'"),
+            ({"routed_set": 5}, "bad config: unknown key 'routed_set'"),
+            ({"routed_set": "WAC"}, "bad config: unknown key 'routed_set'"),
+            ({"routed_set": ["WAC", 5]}, "bad config: unknown key 'routed_set'"),
             ({"backend": {**BACKEND, "rate_limit_per_sec": -1}}, "rate_limit_per_sec must be null, 0 or positive"),
-            ({"backend": {**BACKEND, "rate_limit_per_sec": "2"}}, "rate_limit_per_sec must be null or a number"),
+            ({"backend": {**BACKEND, "rate_limit_per_sec": "2"}}, "backend.rate_limit_per_sec must be a number"),
             ({"backend": {**BACKEND, "timeout": "5"}}, "timeout must be a number"),
             ({"backend": {**BACKEND, "timeout": 0}}, "timeout must be positive"),
             ({"backend": {**BACKEND, "temperature": True}}, "temperature must be a number"),
@@ -481,8 +508,8 @@ class TestConfig:
             ({"backend": {**BACKEND, "temperature": float("nan")}}, "temperature must be a number"),
             ({"backend": {**BACKEND, "backoff_base": float("nan")}}, "backoff_base must be a number"),
             ({"backend": {**BACKEND, "timeout": float("inf")}}, "timeout must be a number"),
-            ({"backend": {**BACKEND, "rate_limit_per_sec": float("inf")}}, "rate_limit_per_sec must be null or a number"),
-            ({"format": "structured", "backend": BACKEND}, "unknown config keys: format"),
+            ({"backend": {**BACKEND, "rate_limit_per_sec": float("inf")}}, "backend.rate_limit_per_sec must be a number"),
+            ({"format": "structured", "backend": BACKEND}, "bad config: unknown key 'format'"),
         ],
     )
     def test_values_must_have_their_json_type(self, capsys, tmp_path, doc, message):
@@ -530,7 +557,7 @@ class TestStartUp:
     @pytest.mark.parametrize(
         "argv, not_loaded",
         [
-            (["detect", str(BENIGN)], {"config", "mutate", "evaluate", "hybrid", "client", "prompts"}),
+            (["detect", str(BENIGN)], {"config", "records", "mutate", "evaluate", "hybrid", "client", "prompts"}),
             (["mutate", str(BENIGN), "--out-dir", "{out}", "--operators", "SAC"], {"evaluate", "hybrid", "client", "prompts"}),
             (["eval", "--manifest", "{manifest}", "--predictor", "detector"], {"config", "hybrid", "client"}),
             (["eval", "--manifest", "{manifest}", "--predictor", "echo"], {"config", "hybrid", "client"}),
@@ -808,38 +835,36 @@ class TestExitCodeContract:
         message = run_fatal(capsys, "adjudicate", str(report_path), "--stub", f"table:{table}")
         assert message == f"{table}: table stub has no entry for {key + '::trigger-overlap'!r} or {key!r}"
 
-    REF = "must be an object with string id and text"
-
     @pytest.mark.parametrize(
         "edit, message",
         [
             (lambda doc: [1], "not a JSON object"),
             (lambda doc: {"schema_version": 1, "file": "x", "findings": "abc"}, "findings must be a list"),
-            (lambda doc: doc["findings"][0].__delitem__("rule_a"), "finding 0: missing key 'rule_a'"),
+            (lambda doc: doc["findings"][0].__delitem__("rule_a"), "findings[0]: missing key 'rule_a'"),
             (lambda doc: doc.update(file=5), "file must be a string"),
             (
                 lambda doc: doc["findings"][1].update(rule_b={"id": "r2"}),
-                "finding 1: rule_b must be an object with string id and name",
+                "findings[1].rule_b: missing key 'name'",
             ),
-            (lambda doc: doc["findings"][0].update(triggers_a={}), "finding 0: triggers_a must be a list"),
-            (lambda doc: doc["findings"][0]["conditions_b"].append("c1"), f"finding 0: conditions_b {REF}"),
-            (lambda doc: doc["findings"][0].update(action_a=[]), f"finding 0: action_a {REF}"),
+            (lambda doc: doc["findings"][0].update(triggers_a={}), "findings[0].triggers_a must be a list"),
+            (lambda doc: doc["findings"][0]["conditions_b"].append("c1"), "findings[0].conditions_b[0] must be a JSON object"),
+            (lambda doc: doc["findings"][0].update(action_a=[]), "findings[0].action_a must be a JSON object"),
             (
                 lambda doc: doc["findings"][0].update(threat_pair=["r1a1"]),
-                "finding 0: threat_pair must be a list of two strings",
+                "findings[0].threat_pair must be a list of 2 values",
             ),
             (
                 lambda doc: doc["findings"][0].update(action_b=None),
-                "finding 0: action_b must not be null in a WAC finding",
+                "findings[0].action_b must not be null in a WAC finding",
             ),
             (
                 lambda doc: doc["findings"][2].update(trigger_b=None),
-                "finding 2: trigger_b must not be null in a WTC finding",
+                "findings[2].trigger_b must not be null in a WTC finding",
             ),
-            (lambda doc: doc["findings"][0].update(description=None), "finding 0: description must be a string"),
-            (lambda doc: doc["findings"][0].update(category="XYZ"), "finding 0: 'XYZ' is not a valid FineCategory"),
-            (lambda doc: doc.update(schema_version=True), "unsupported report schema version: True"),
-            (lambda doc: doc.update(schema_version=1.0), "unsupported report schema version: 1.0"),
+            (lambda doc: doc["findings"][0].update(description=None), "findings[0].description must be a string"),
+            (lambda doc: doc["findings"][0].update(category="XYZ"), "findings[0].category must be one of WAC, SAC, WTC, STC, WCC, SCC"),
+            (lambda doc: doc.update(schema_version=True), "schema_version must be 1"),
+            (lambda doc: doc.update(schema_version=1.0), "schema_version must be 1"),
         ],
         ids=[
             "list", "findings-string", "no-rule_a", "file-number", "rule-id-only", "triggers-object",
@@ -906,8 +931,27 @@ class TestExitCodeContract:
         argv = ["adjudicate", str(report_path)] + ([] if config is None else ["--config", str(path)])
         assert run_fatal(capsys, *argv) == "no backend configured; pass --stub or a config with a backend"
 
+    @pytest.mark.parametrize(
+        "content, problem",
+        [
+            (None, "[Errno 2] No such file or directory: '{table}'"),
+            (b"", "Expecting value: line 1 column 1 (char 0)"),
+            (b'{"SAC:r1:r2:r1a1:r2a1": tru}', "Expecting value: line 1 column 25 (char 24)"),
+            (b'{"k": true}\xe9', "'utf-8' codec can't decode byte 0xe9 in position 11: unexpected end of data"),
+        ],
+        ids=["missing", "empty", "bad-json", "not-utf8"],
+    )
+    def test_table_stub_that_cannot_be_loaded_is_named(self, capsys, tmp_path, report_path, content, problem):
+        table = tmp_path / "table.json"
+        if content is not None:
+            table.write_bytes(content)
+        message = run_fatal(capsys, "adjudicate", str(report_path), "--stub", f"table:{table}")
+        assert message == f"cannot load table stub {table}: {problem.format(table=table)}"
+
     def test_table_stub_must_map_keys_to_booleans(self, capsys, tmp_path, report_path):
-        for doc in ([], {"SAC:r1:r2:r1a1:r2a1": "yes"}):
+        key = "SAC:r1:r2:r1a1:r2a1"
+        for doc, problem in (([], "not a JSON object"), ({key: "yes"}, f'["{key}"] must be true or false')):
             table = tmp_path / "table.json"
             table.write_text(json.dumps(doc), encoding="utf-8")
-            assert "JSON object of booleans" in run_fatal(capsys, "adjudicate", str(report_path), "--stub", f"table:{table}")
+            message = run_fatal(capsys, "adjudicate", str(report_path), "--stub", f"table:{table}")
+            assert message == f"cannot load table stub {table}: {problem}"
