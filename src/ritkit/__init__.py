@@ -13,7 +13,6 @@ import importlib
 
 from .detector import (
     CoarseCategory,
-    DetectorConfig,
     FineCategory,
     Finding,
     FindingReport,
@@ -30,7 +29,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoarseCategory",
-    "DetectorConfig",
     "FineCategory",
     "Finding",
     "FindingReport",

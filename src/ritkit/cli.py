@@ -28,16 +28,44 @@ EXIT_FATAL = 2
 BACKEND_JOBS = 4
 
 
+class _Fatal(Exception):
+    """An error that ends the command: `main` prints its message and exits 2."""
+
+
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_FATAL
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
+    """Write `text` to the file `out`, or to stdout when there is none."""
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _Fatal(f"cannot write {out}: {exc.strerror or exc}") from exc
+
+
+def _categories(value: str | None, flag: str, default: tuple):
+    """The categories that the comma-separated `flag` names, each once; `default` when it is absent."""
+    from .detector import CATEGORY_ORDER, FineCategory
+
+    if value is None:
+        return default
+    names, known = value.split(","), [c.value for c in CATEGORY_ORDER]
+    for k, name in enumerate(names):
+        if name not in known:
+            raise _Fatal(f"unknown category: {flag} names {name!r} ({', '.join(known)})")
+        if name in names[:k]:
+            raise _Fatal(f"{flag} names {name} twice")
+    return tuple(map(FineCategory, names))
+
+
+def _check_label(label: str, what: str, args: argparse.Namespace, config: ExperimentConfig) -> None:
+    if label not in config.labels:
+        raise _Fatal(f"{what} is not a label of cell {args.experiment or 'A'} ({', '.join(config.labels)})")
 
 
 def _collect_rules_files(paths: list[str] | list[Path]) -> list[Path]:
@@ -58,12 +86,11 @@ def _collect_rules_files(paths: list[str] | list[Path]) -> list[Path]:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    from .detector import DetectorConfig, detect_file
+    from .detector import detect_file
     from .parser import parse_ruleset
     from .report import render_structured, render_structured_lines, render_text
     from .source import SourceFile
 
-    detector_config = DetectorConfig(strict_event_matching=not args.lenient_matching)
     try:
         files = _collect_rules_files(args.paths)
     except FileNotFoundError as exc:
@@ -80,7 +107,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         ruleset = parse_ruleset(source)
         for diag in ruleset.diagnostics:
             print(f"{path}:{diag.line}:{diag.col}: {diag.severity}: {diag.message}", file=sys.stderr)
-        reports.append(detect_file(ruleset, detector_config))
+        reports.append(detect_file(ruleset, strict=not args.lenient_matching))
 
     if args.format == "text":
         body = "\n".join(render_text(r) for r in reports)
@@ -97,7 +124,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_mutate(args: argparse.Namespace) -> int:
-    from .detector import CATEGORY_ORDER, FineCategory
+    from .detector import CATEGORY_ORDER
     from .mutate import Exhaustive, MutationError, Sample, Seed, bundled_seed_paths, generate_corpus
 
     if args.strategy == "sample":
@@ -111,10 +138,7 @@ def cmd_mutate(args: argparse.Namespace) -> int:
             if value is not None:
                 return _fail(f"{flag} needs --strategy sample")
         strategy = Exhaustive()
-    try:
-        operators = tuple(FineCategory(name) for name in args.operators.split(",")) if args.operators else CATEGORY_ORDER
-    except ValueError as exc:
-        return _fail(f"unknown operator: {exc}")
+    operators = _categories(args.operators, "--operators", CATEGORY_ORDER)
 
     try:
         seeds = [Seed.load(path) for path in _collect_rules_files(args.seeds or bundled_seed_paths())]
@@ -176,7 +200,6 @@ def cmd_adjudicate(args: argparse.Namespace) -> int:
 
 
 def _reconcile(args: argparse.Namespace, adjudicator, jobs: int) -> int:
-    from .detector import FineCategory
     from .hybrid import DEFAULT_ROUTED_SET, run_pipeline
     from .records import dump_records
     from .report import finding_to_json, parse_structured, render_text, report_to_json
@@ -185,17 +208,14 @@ def _reconcile(args: argparse.Namespace, adjudicator, jobs: int) -> int:
         report = parse_structured(Path(args.report).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         return _fail(f"cannot load report {args.report}: {exc}")
-    try:
-        routed = frozenset(FineCategory(name) for name in args.routed.split(",")) if args.routed else DEFAULT_ROUTED_SET
-    except ValueError as exc:
-        return _fail(f"unknown category: {exc}")
+    routed = frozenset(_categories(args.routed, "--routed", DEFAULT_ROUTED_SET))
     try:
         result = run_pipeline(report, adjudicator, routed, jobs)
     except KeyError as exc:  # a table stub without an entry for a routed finding
         return _fail(f"{args.stub.removeprefix('table:')}: {exc.args[0]}")
 
     if args.audit_log:
-        Path(args.audit_log).write_text(dump_records(result.audit), encoding="utf-8")
+        _emit(dump_records(result.audit), args.audit_log)
     for ref in result.fail_open_refs:
         print(f"warning: adjudicator unavailable, fail-open kept finding {ref}", file=sys.stderr)
 
@@ -236,8 +256,7 @@ def _predictor_from_spec(args: argparse.Namespace, dataset: list[GroundTruthEntr
         return echo_predictor(dataset, config.taxonomy), None
     if spec.startswith("constant:"):
         label = spec.split(":", 1)[1]
-        if label not in config.labels:
-            raise ValueError(f"{spec} is not a label of cell {args.experiment or 'A'} ({', '.join(config.labels)})")
+        _check_label(label, spec, args, config)
         return constant_predictor(label), None
     if spec == "detector":
         return detector_predictor(config.taxonomy, strict=not args.lenient_matching), None
@@ -306,18 +325,23 @@ def cmd_eval(args: argparse.Namespace) -> int:
             for orphan in orphans:
                 print(f"  {orphan}", file=sys.stderr)
             return EXIT_FATAL
+        for instance_id, labels in predictions.items():
+            for label in labels:
+                _check_label(label, f"{label!r} (instance {instance_id} of {args.predictions})", args, config)
         predictor = lambda entry: predictions[entry.instance_id]  # noqa: E731
         backend = None
     else:
         try:
             predictor, backend = _predictor_from_spec(args, dataset, config)
-        except ValueError as exc:  # a label outside the cell, or a bad backend config (ConfigError)
+        except ValueError as exc:  # a bad backend config (ConfigError)
             return _fail(str(exc))
 
     try:
         row, logs = run_experiment(config, dataset, predictor, BACKEND_JOBS if backend else 1)
     except OSError as exc:  # an instance file the manifest names, missing or not UTF-8
         return _fail(f"cannot read instance file {exc.filename}: {exc.strerror}")
+    except ValueError as exc:  # an empty instance file, which a backend prompt cannot hold
+        return _fail(str(exc))
     finally:
         if backend is not None:
             backend.close()
@@ -325,7 +349,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if log.failure and log.failure.startswith(BACKEND_FAILURE):
             print(f"warning: {log.failure} on instance {log.instance_id}, scored as a parse failure", file=sys.stderr)
     if args.per_instance_log:
-        Path(args.per_instance_log).write_text(dump_records(logs), encoding="utf-8")
+        _emit(dump_records(logs), args.per_instance_log)
     print(render_metrics_table(row, config.labels, name=args.predictor or "predictions"))
     return EXIT_CLEAN
 
@@ -389,6 +413,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         return args.func(args)
+    except _Fatal as exc:
+        return _fail(str(exc))
     except Exception as exc:  # the exit-code contract: never exit 1 on a crash
         return _fail(f"{type(exc).__name__}: {exc}".replace("\n", " "))
 

@@ -66,14 +66,8 @@ class CoarseCategory(Enum):
     CC = "CC"
 
 
-_COARSE = {
-    FineCategory.WAC: CoarseCategory.AC,
-    FineCategory.SAC: CoarseCategory.AC,
-    FineCategory.WTC: CoarseCategory.TC,
-    FineCategory.STC: CoarseCategory.TC,
-    FineCategory.WCC: CoarseCategory.CC,
-    FineCategory.SCC: CoarseCategory.CC,
-}
+# A fine category is W (weak) or S (strong) followed by its family.
+_COARSE = {fine: CoarseCategory(fine.value[1:]) for fine in FineCategory}
 
 # Fixed order used for report count lines and corpus enumeration.
 CATEGORY_ORDER = (
@@ -103,10 +97,6 @@ CC_DESCRIPTION = (
 
 def aggregate(fine: FineCategory) -> CoarseCategory:
     return _COARSE[fine]
-
-
-class DetectorConfig(NamedTuple):
-    strict_event_matching: bool = True
 
 
 class EvidenceRef(NamedTuple):
@@ -208,9 +198,10 @@ def _refs(nodes: Iterable, render: Callable[..., str]) -> tuple[EvidenceRef, ...
     return tuple(EvidenceRef(node.id, render(node)) for node in nodes)
 
 
-def detect_pair(a: Rule, b: Rule, config: DetectorConfig = DetectorConfig()) -> list[Finding]:
+def detect_pair(a: Rule, b: Rule, strict: bool = True) -> list[Finding]:
     """All findings for one rule pair, in the order AC, TC a→b, TC b→a,
     CC a→b, CC b→a; AC findings name the rule with the lower index first.
+    `strict` is event matching's switch (see `action_matches_trigger`).
     """
     if a.id == b.id:
         raise ValueError("detect_pair requires two distinct rules")
@@ -272,7 +263,7 @@ def detect_pair(a: Rule, b: Rule, config: DetectorConfig = DetectorConfig()) -> 
         for ga in d.a.guarded_actions:
             guards_a = effective_guards(d.a, ga)
             for trig in d.b.triggers:
-                if not action_matches_trigger(ga.action, trig, config.strict_event_matching):
+                if not action_matches_trigger(ga.action, trig, strict):
                     continue
                 if not guards_a and not conditions_b:
                     category = FineCategory.STC
@@ -317,17 +308,15 @@ def _item_neighbours(rules: tuple[Rule, ...]) -> list[set[int]]:
     return neighbours
 
 
-def detect_pairs_touching(
-    rules: tuple[Rule, ...], positions: Iterable[int], config: DetectorConfig = DetectorConfig()
-) -> list[Finding]:
+def detect_pairs_touching(rules: tuple[Rule, ...], positions: Iterable[int], strict: bool = True) -> list[Finding]:
     """Classify every unordered pair of rules sharing an item that includes
     a rule at one of `positions`, in file order; other pairs are not visited."""
     neighbours = _item_neighbours(rules)
     pairs = sorted({(min(p, k), max(p, k)) for p in positions for k in neighbours[p] if k != p})
-    return [f for i, j in pairs for f in detect_pair(rules[i], rules[j], config)]
+    return [f for i, j in pairs for f in detect_pair(rules[i], rules[j], strict)]
 
 
-def detect_file(ruleset: RuleSet, config: DetectorConfig = DetectorConfig()) -> FindingReport:
+def detect_file(ruleset: RuleSet, strict: bool = True) -> FindingReport:
     """Classify every unordered pair of rules sharing an item, in file order."""
-    findings = detect_pairs_touching(ruleset.rules, range(len(ruleset.rules)), config)
+    findings = detect_pairs_touching(ruleset.rules, range(len(ruleset.rules)), strict)
     return FindingReport(file=ruleset.file_id, findings=tuple(findings))

@@ -186,13 +186,11 @@ def detector_predictor(taxonomy: str = "six", strict: bool = True) -> Predictor:
     A file without findings is predicted as no labels: a miss, not a parse
     failure.
     """
-    from .detector import DetectorConfig, detect_file
+    from .detector import detect_file
     from .parser import parse_ruleset
 
-    config = DetectorConfig(strict_event_matching=strict)
-
     def predict(entry: GroundTruthEntry) -> Prediction:
-        report = detect_file(parse_ruleset(_read_instance(entry)), config)
+        report = detect_file(parse_ruleset(_read_instance(entry)), strict)
         raw = [f.category.value if taxonomy == "six" else f.coarse.value for f in report.findings]
         return tuple(dict.fromkeys(raw))
 
@@ -203,11 +201,17 @@ def backend_predictor(config: ExperimentConfig, backend) -> Predictor:
     """Blind classification through a text backend (hybrid recovery mode).
 
     A backend that gives up raises `BackendError`, and `run_experiment` then
-    makes no further call.
+    makes no further call. An empty instance file is a ValueError that names it.
     """
     from .hybrid import recover_negatives
 
-    return lambda entry: recover_negatives(_read_instance(entry).content, config, backend)
+    def predict(entry: GroundTruthEntry) -> Prediction:
+        text = _read_instance(entry).content
+        if not text.strip():  # no prompt can hold it
+            raise ValueError(f"instance file {entry.source} is empty")
+        return recover_negatives(text, config, backend)
+
+    return predict
 
 
 def run_experiment(

@@ -8,7 +8,7 @@ file order and ``M`` restarts at 1 inside each rule.
 from __future__ import annotations
 
 import re
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from enum import Enum
 from typing import NamedTuple
 
@@ -56,10 +56,7 @@ def make_value(raw: str) -> Value:
     if folded in _UP_DOWN:
         return Value(ValueKind.UP_DOWN, _UP_DOWN[folded], raw)
     if _NUMBER_RE.match(inner):
-        try:
-            return Value(ValueKind.NUMBER, inner, raw, number=Decimal(inner))
-        except InvalidOperation:  # pragma: no cover - regex prevents this
-            pass
+        return Value(ValueKind.NUMBER, inner, raw, number=Decimal(inner))
     return Value(ValueKind.OPAQUE, inner, raw)
 
 
@@ -138,6 +135,10 @@ class Condition(NamedTuple):
 class ActionKind(Enum):
     SEND_COMMAND = "send-command"
     POST_UPDATE = "post-update"
+
+
+# The call that writes each kind of action in .rules source.
+ACTION_CALLS = {ActionKind.SEND_COMMAND: "sendCommand", ActionKind.POST_UPDATE: "postUpdate"}
 
 
 class Action(NamedTuple):
@@ -241,8 +242,7 @@ def condition_text(c: Condition) -> str:
 
 
 def action_text(a: Action) -> str:
-    call = "sendCommand" if a.kind is ActionKind.SEND_COMMAND else "postUpdate"
-    return f"{a.item}.{call}({a.value.raw})"
+    return f"{a.item}.{ACTION_CALLS[a.kind]}({a.value.raw})"
 
 
 def rule_source(rule: Rule) -> str:
@@ -275,6 +275,5 @@ def rule_source(rule: Rule) -> str:
 
 
 def _call_text(a: Action) -> str:
-    call = "sendCommand" if a.kind is ActionKind.SEND_COMMAND else "postUpdate"
-    return f"{call}({a.item}, {a.value.raw})"
+    return f"{ACTION_CALLS[a.kind]}({a.item}, {a.value.raw})"
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .source import SourceFile
 
@@ -28,7 +28,7 @@ class TokenKind(Enum):
     RBRACE = "rbrace"
     COMMA = "comma"
     DOT = "dot"
-    ERROR = "error"  # unterminated string or stray character
+    ERROR = "error"  # unterminated string, unterminated comment opener or stray character
 
 
 class Token(NamedTuple):
@@ -41,12 +41,11 @@ class Token(NamedTuple):
     offset: int
 
 
-_TOKEN_RE = re.compile(
-    r"""
+_TOKEN_PATTERN = r"""
     (?P<ws>[ \t\r\n]+)
   | (?P<line_comment>//[^\n]*)
   | (?P<block_comment>/\*.*?\*/)
-  | (?P<unterminated_comment>/\*.*)
+  | (?P<unterminated_comment>/\*)
   | (?P<string>"[^"\n]*")
   | (?P<unterminated_string>"[^"\n]*)
   | (?P<time>\d{1,2}:\d{2})
@@ -61,33 +60,33 @@ _TOKEN_RE = re.compile(
   | (?P<comma>,)
   | (?P<dot>\.)
   | (?P<stray>.)
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+"""
+_TOKEN_RE = re.compile(_TOKEN_PATTERN, re.VERBOSE | re.DOTALL)
+# Past a `/*` that no `*/` follows, a search for `*/` at each later `/*` would only rescan the file.
+_TAIL_RE = re.compile(_TOKEN_PATTERN.replace(r"(?P<block_comment>/\*.*?\*/)", "(?!)"), re.VERBOSE | re.DOTALL)
 
-_GROUP_KINDS = {
-    "string": TokenKind.STRING,
-    "time": TokenKind.TIME,
-    "number": TokenKind.NUMBER,
-    "ident": TokenKind.IDENT,
-    "op": TokenKind.OP,
-    "andand": TokenKind.ANDAND,
-    "lparen": TokenKind.LPAREN,
-    "rparen": TokenKind.RPAREN,
-    "lbrace": TokenKind.LBRACE,
-    "rbrace": TokenKind.RBRACE,
-    "comma": TokenKind.COMMA,
-    "dot": TokenKind.DOT,
-    "unterminated_string": TokenKind.ERROR,
-    "stray": TokenKind.ERROR,
-}
+# A group named after a kind's value lexes as that kind; the ill-formed groups
+# (`unterminated_string`, `unterminated_comment`, `stray`) lex as ERROR.
+_SKIPPED = ("ws", "line_comment", "block_comment")
+_KINDS = {kind.value: kind for kind in TokenKind}
+_GROUP_KINDS = {name: _KINDS.get(name, TokenKind.ERROR) for name in _TOKEN_RE.groupindex if name not in _SKIPPED}
+
+
+def _lexemes(content: str) -> Iterator[re.Match]:
+    for m in _TOKEN_RE.finditer(content):
+        yield m
+        if m.lastgroup == "unterminated_comment":
+            yield from _TAIL_RE.finditer(content, m.end())
+            return
 
 
 def tokenize(source: SourceFile) -> list[Token]:
     """Lex the whole file. Never raises; problems become ERROR tokens."""
     tokens: list[Token] = []
     line, line_start = 1, 0  # the current line and the offset it starts at
-    for m in _TOKEN_RE.finditer(source.content):  # gapless: the stray group matches any character
+    content = source.content
+    # Gapless, as the stray group matches any character. Only a file with `/*` pays for the generator.
+    for m in _lexemes(content) if "/*" in content else _TOKEN_RE.finditer(content):
         kind = _GROUP_KINDS.get(m.lastgroup)
         text = m.group()
         pos = m.start()

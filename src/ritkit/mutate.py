@@ -27,14 +27,15 @@ from typing import Callable, Iterable, NamedTuple
 from .detector import (
     CATEGORY_ORDER,
     CoarseCategory,
-    DetectorConfig,
     FineCategory,
     aggregate,
     detect_file,
     detect_pair,
     detect_pairs_touching,
+    finding_key,
 )
 from .ir import (
+    ACTION_CALLS,
     Action,
     ActionKind,
     Condition,
@@ -69,7 +70,7 @@ class Seed(NamedTuple):
     path: str
     text: str
     ruleset: RuleSet
-    finding_keys: frozenset[tuple]  # identities of the seed's own findings
+    finding_keys: frozenset[str]  # the `finding_key` of each of the seed's own findings
 
     @staticmethod
     def load(path: str | Path) -> "Seed":
@@ -85,8 +86,8 @@ class Seed(NamedTuple):
         if ruleset.errors():
             raise MutationError(f"seed {path} does not parse cleanly: {ruleset.errors()[0].message}")
         # Strict whatever the default: validation takes these as the strict findings of the pairs it skips.
-        report = detect_file(ruleset, DetectorConfig(strict_event_matching=True))
-        return Seed(path, text, ruleset, frozenset(_finding_identity(f) for f in report.findings))
+        report = detect_file(ruleset, strict=True)
+        return Seed(path, text, ruleset, frozenset(map(finding_key, report.findings)))
 
 
 class _MutantFields(NamedTuple):
@@ -277,8 +278,7 @@ def _cascade_action(ctx: TransformContext, a: Rule) -> tuple[Action, dict]:
     x = a.guarded_actions[0].action
     kind = ActionKind.POST_UPDATE if ctx.post_update else ActionKind.SEND_COMMAND
     action = _new_action(kind, ctx.cascade_item(x.item), x.value)
-    cascade = "postUpdate" if ctx.post_update else "sendCommand"
-    return action, {"item": action.item, "value": action.value.text, "cascade": cascade}
+    return action, {"item": action.item, "value": action.value.text, "cascade": ACTION_CALLS[kind]}
 
 
 def transform_stc(ctx: TransformContext, a: Rule, b: Rule) -> tuple[Rule, Rule, dict]:
@@ -479,10 +479,10 @@ def _validate(seed: Seed, blocks: dict[str, str], target: FineCategory, expect_s
     pair = set(blocks)
     rewritten = [k for k, rule in enumerate(rules) if rule.id in pair]
     strict_cats = set()
-    for f in detect_pairs_touching(rules, rewritten, DetectorConfig(strict_event_matching=True)):
+    for f in detect_pairs_touching(rules, rewritten, strict=True):
         if {f.rule_a.id, f.rule_b.id} == pair:
             strict_cats.add(f.category)
-        elif _finding_identity(f) not in seed.finding_keys:
+        elif finding_key(f) not in seed.finding_keys:
             raise MutationError(
                 f"injection leaked outside the pair: {f.category.value} on ({f.rule_a.id}, {f.rule_b.id})"
             )
@@ -492,13 +492,9 @@ def _validate(seed: Seed, blocks: dict[str, str], target: FineCategory, expect_s
             raise MutationError("postUpdate variant was unexpectedly recovered under strict matching")
         return None
     a, b = (rules[k] for k in rewritten)  # in file order, as detect_file passes them
-    if target in {f.category for f in detect_pair(a, b, DetectorConfig(strict_event_matching=False))}:
+    if target in {f.category for f in detect_pair(a, b, strict=False)}:
         return MISS_STRICT_MATCHING
     raise MutationError(f"detector does not recover {target.value} on the mutated pair")
-
-
-def _finding_identity(f) -> tuple:
-    return (f.category.value, f.rule_a.id, f.rule_b.id, f.threat_pair)
 
 
 def apply_operator(

@@ -25,8 +25,8 @@ unparseable script statements produce a warning and the rule is kept.
 from __future__ import annotations
 
 from .ir import (
+    ACTION_CALLS,
     Action,
-    ActionKind,
     Condition,
     ConditionKind,
     CronSpec,
@@ -44,7 +44,7 @@ from .ir import (
 from .lexer import Token, TokenKind, is_keyword, rule_block_starts, tokenize
 from .source import SourceFile
 
-_ACTION_CALLS = {"sendcommand": ActionKind.SEND_COMMAND, "postupdate": ActionKind.POST_UPDATE}
+_ACTION_CALLS = {call.lower(): kind for kind, call in ACTION_CALLS.items()}  # matched in any case
 
 # Each nesting level costs three stack frames of the recursive descent, so
 # this stays well under the interpreter's recursion limit.
@@ -68,10 +68,7 @@ class _BlockParser:
         self.pos = 0
         self.warnings = warnings
         self.rule_id = rule_id
-        # 1-based per-rule ordinals for the rNtM / rNcM / rNaM ids.
-        self.trigger_n = 0
-        self.condition_n = 0
-        self.action_n = 0
+        self.ordinals = dict.fromkeys("tca", 0)  # the last M of this rule's rNtM / rNcM / rNaM ids
         self.if_depth = 0
 
     # -- cursor helpers ----------------------------------------------------
@@ -103,19 +100,10 @@ class _BlockParser:
             raise _BlockError(f"expected keyword {word!r}, found {tok.text!r}", tok)
         return tok
 
-    # -- id factories ------------------------------------------------------
-
-    def next_trigger_id(self) -> str:
-        self.trigger_n += 1
-        return f"{self.rule_id}t{self.trigger_n}"
-
-    def next_condition_id(self) -> str:
-        self.condition_n += 1
-        return f"{self.rule_id}c{self.condition_n}"
-
-    def next_action_id(self) -> str:
-        self.action_n += 1
-        return f"{self.rule_id}a{self.action_n}"
+    def next_id(self, kind: str) -> str:
+        """The next id of this rule's triggers ("t"), conditions ("c") or actions ("a")."""
+        self.ordinals[kind] += 1
+        return f"{self.rule_id}{kind}{self.ordinals[kind]}"
 
     # -- rule --------------------------------------------------------------
 
@@ -170,11 +158,11 @@ class _BlockParser:
             self.take()
             self.take()
             expr = self.expect_kind(TokenKind.STRING, "cron string")
-            return Trigger(self.next_trigger_id(), TriggerKind.CRON, cron=CronSpec.parse(expr.text[1:-1]))
+            return Trigger(self.next_id("t"), TriggerKind.CRON, cron=CronSpec.parse(expr.text[1:-1]))
         if is_keyword(tok, "system") and self.at_keyword("started", 1):
             self.take()
             self.take()
-            return Trigger(self.next_trigger_id(), TriggerKind.SYSTEM_STARTED)
+            return Trigger(self.next_id("t"), TriggerKind.SYSTEM_STARTED)
 
         if is_keyword(tok, "item") and self.peek(1) is not None and self.peek(1).kind is TokenKind.IDENT:
             self.take()
@@ -194,7 +182,7 @@ class _BlockParser:
                 self.take()
                 to_value = self._take_value("changed-to value")
             return Trigger(
-                self.next_trigger_id(), TriggerKind.ITEM_CHANGED, item=item, from_value=from_value, to_value=to_value
+                self.next_id("t"), TriggerKind.ITEM_CHANGED, item=item, from_value=from_value, to_value=to_value
             )
         if self.at_keyword("received") and self.at_keyword("command", 1):
             self.take()
@@ -203,11 +191,11 @@ class _BlockParser:
             nxt = self.peek()
             if nxt is not None and nxt.kind in (TokenKind.IDENT, TokenKind.NUMBER, TokenKind.STRING) and not _is_clause_keyword(nxt):
                 command_value = self._take_value("command value")
-            return Trigger(self.next_trigger_id(), TriggerKind.ITEM_COMMAND, item=item, command_value=command_value)
+            return Trigger(self.next_id("t"), TriggerKind.ITEM_COMMAND, item=item, command_value=command_value)
         if self.at_keyword("received") and self.at_keyword("update", 1):
             self.take()
             self.take()
-            return Trigger(self.next_trigger_id(), TriggerKind.ITEM_UPDATE, item=item)
+            return Trigger(self.next_id("t"), TriggerKind.ITEM_UPDATE, item=item)
 
         # State-comparison trigger: X[.state] <op> value
         if self.peek() is not None and self.peek().kind is TokenKind.DOT and self.at_keyword("state", 1):
@@ -217,7 +205,7 @@ class _BlockParser:
         if op_tok is not None and op_tok.kind is TokenKind.OP:
             self.take()
             value = self._take_value("comparison value")
-            return Trigger(self.next_trigger_id(), TriggerKind.STATE_COMPARISON, item=item, op=op_tok.text, value=value)
+            return Trigger(self.next_id("t"), TriggerKind.STATE_COMPARISON, item=item, op=op_tok.text, value=value)
         raise _BlockError(f"unrecognized trigger form near {item!r}", item_tok)
 
     def _take_value(self, what: str) -> Value:
@@ -267,12 +255,11 @@ class _BlockParser:
         if window is not None:
             if window[0] > window[1]:
                 raise _BlockError("empty time window", toks[0])
-            conds.append(Condition(self.next_condition_id(), ConditionKind.TIME_WINDOW, window=window))
+            conds.append(Condition(self.next_id("c"), ConditionKind.TIME_WINDOW, window=window))
         return conds
 
     def _parse_comparison(self, group: list[Token]) -> Condition | tuple[int, int]:
         """One comparison; returns a Condition or (lo, hi) time bounds."""
-        i = 0
         if group[0].kind is not TokenKind.IDENT:
             raise _BlockError(f"expected item name, found {group[0].text!r}", group[0])
         item_tok = group[0]
@@ -305,7 +292,7 @@ class _BlockParser:
         if val_tok.kind not in (TokenKind.IDENT, TokenKind.NUMBER, TokenKind.STRING):
             raise _BlockError(f"expected comparison value, found {val_tok.text!r}", val_tok)
         return Condition(
-            self.next_condition_id(),
+            self.next_id("c"),
             ConditionKind.ITEM_COMPARISON,
             item=item_tok.text,
             op=op,
@@ -404,7 +391,7 @@ class _BlockParser:
             self.expect_kind(TokenKind.COMMA, "','")
             value = self._take_value("action value")
             self.expect_kind(TokenKind.RPAREN, "')'")
-            return Action(self.next_action_id(), kind, item.text, value)
+            return Action(self.next_id("a"), kind, item.text, value)
         # Item.sendCommand(Value)
         if (
             self.peek(1) is not None
@@ -421,7 +408,7 @@ class _BlockParser:
             self.take()
             value = self._take_value("action value")
             self.expect_kind(TokenKind.RPAREN, "')'")
-            return Action(self.next_action_id(), kind, item.text, value)
+            return Action(self.next_id("a"), kind, item.text, value)
         return None
 
     def _skip_statement(self, reason: str) -> None:

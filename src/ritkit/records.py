@@ -1,7 +1,8 @@
-"""The one reader of outside JSON, and the JSON-lines format of every flat record file.
+"""The one reader and writer of JSON, and the JSON-lines format of every flat record file.
 
 Reports, configs, table stubs and record files are all read through
-`from_json`. Mutation manifests, ground truth, predictions, per-instance logs
+`from_json`; reports and record files are written through its inverse,
+`to_json`. Mutation manifests, ground truth, predictions, per-instance logs
 and audit logs each hold one record (a `NamedTuple`) per line: a JSON object
 whose keys are the field names, sorted. Reading skips blank lines.
 """
@@ -84,13 +85,22 @@ def from_json(value: Any, kind: Any, path: str = "", closed: bool = False) -> An
     raise ValueError(f"{path} must be {name}" if path else f"not {name}")
 
 
+def to_json(value: Any) -> Any:
+    """The inverse of `from_json`: a record becomes an object, a tuple a list and an enum its value."""
+    if hasattr(value, "_asdict"):
+        return {field: to_json(item) for field, item in value._asdict().items()}
+    if isinstance(value, tuple):
+        return list(map(to_json, value))
+    return value.value if isinstance(value, Enum) else value
+
+
 def loads(text: str, kind: type[R], closed: bool = False) -> R:
     """`from_json` of a JSON text; text that is not JSON is a `json.JSONDecodeError` (a ValueError)."""
     return from_json(json.loads(text), kind, closed=closed)
 
 
 def dump_records(records: Iterable) -> str:
-    return "".join(json.dumps(r._asdict(), sort_keys=True) + "\n" for r in records)
+    return "".join(json.dumps(to_json(r), sort_keys=True) + "\n" for r in records)
 
 
 def read_records(path: str | Path, cls: type[R]) -> list[R]:

@@ -85,24 +85,15 @@ def render_text(report: FindingReport) -> str:
 # Structured (JSON) form
 
 
-# Finding keys that hold a list of evidence refs, and keys that hold one ref or null.
-_REF_LISTS = ("triggers_a", "triggers_b", "conditions_a", "conditions_b", "enabled_conditions_b")
-_NULLABLE_REFS = ("action_a", "action_b", "trigger_b")
 # The refs that each family's text block shows: a finding of the family must have them.
 _SHOWN_REFS = {"AC": ("action_a", "action_b"), "TC": ("action_a", "trigger_b"), "CC": ("action_a",)}
 
 
 def finding_to_json(f: Finding) -> dict[str, Any]:
-    return {
-        "category": f.category.value,
-        "coarse": f.coarse.value,
-        "rule_a": f.rule_a._asdict(),
-        "rule_b": f.rule_b._asdict(),
-        "threat_pair": list(f.threat_pair),
-        "description": f.description,
-        **{key: [ref._asdict() for ref in getattr(f, key)] for key in _REF_LISTS},
-        **{key: getattr(f, key) and getattr(f, key)._asdict() for key in _NULLABLE_REFS},
-    }
+    """The finding's fields, plus its `coarse` family."""
+    from .records import to_json  # here, so that `detect` in text form never loads it
+
+    return {**to_json(f), "coarse": f.coarse.value}
 
 
 def report_to_json(report: FindingReport) -> dict[str, Any]:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -286,6 +287,21 @@ class TestMutateAndEvalCommands:
         argv = ["eval", "--manifest", str(corpus / "manifest.jsonl"), "--predictor", f"constant:{label}", *experiment]
         labels = ", ".join(COARSE_LABELS if cell in "CD" else FINE_LABELS)
         assert run_fatal(capsys, *argv) == f"constant:{label} is not a label of cell {cell} ({labels})"
+
+    @pytest.mark.parametrize(
+        "label, experiment", [("XYZ", []), ("AC", ["--experiment", "A"]), ("SAC", ["--experiment", "C"])]
+    )
+    def test_eval_prediction_label_outside_the_cell_is_fatal(self, capsys, corpus, tmp_path, label, experiment):
+        cell = experiment[1] if experiment else "A"
+        manifest = corpus / "manifest.jsonl"
+        ids = [json.loads(line)["mutant_id"] for line in manifest.read_text(encoding="utf-8").splitlines()]
+        predictions = tmp_path / "predictions.jsonl"
+        lines = [json.dumps({"instance_id": i, "labels": [label]}) + "\n" for i in ids]
+        predictions.write_text("".join(lines), encoding="utf-8")
+        argv = ["eval", "--manifest", str(manifest), "--predictions", str(predictions), *experiment]
+        labels = ", ".join(COARSE_LABELS if cell in "CD" else FINE_LABELS)
+        message = run_fatal(capsys, *argv)
+        assert message == f"'{label}' (instance {ids[0]} of {predictions}) is not a label of cell {cell} ({labels})"
 
     @pytest.mark.parametrize(
         "logs, problem",
@@ -882,6 +898,61 @@ class TestExitCodeContract:
     def test_unknown_routed_category_is_fatal(self, capsys, report_path):
         message = run_fatal(capsys, "adjudicate", str(report_path), "--stub", "accept-all", "--routed", "WAC,BOGUS")
         assert message.startswith("unknown category: ") and "BOGUS" in message
+
+    @pytest.mark.parametrize(
+        "value, problem",
+        [
+            ("", "unknown category: {flag} names '' (SAC, WAC, STC, WTC, SCC, WCC)"),
+            ("SAC,", "unknown category: {flag} names '' (SAC, WAC, STC, WTC, SCC, WCC)"),
+            ("SAC,SAC", "{flag} names SAC twice"),
+            ("WAC,WTC,WAC", "{flag} names WAC twice"),
+        ],
+        ids=["empty", "trailing-comma", "repeated", "repeated-later"],
+    )
+    @pytest.mark.parametrize("flag", ["--operators", "--routed"])
+    def test_category_list_must_name_each_category_once(self, capsys, tmp_path, report_path, flag, value, problem):
+        out_dir = tmp_path / "x"
+        if flag == "--operators":
+            argv = ["mutate", str(BENIGN), "--out-dir", str(out_dir)]
+        else:
+            argv = ["adjudicate", str(report_path), "--stub", "accept-all"]
+        assert run_fatal(capsys, *argv, flag, value) == problem.format(flag=flag)
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["detect", str(DATA / "hybrid_mixed.rules"), "--out"],
+            ["adjudicate", "{report}", "--stub", "accept-all", "--out"],
+            ["adjudicate", "{report}", "--stub", "accept-all", "--audit-log"],
+            ["eval", "--manifest", "{truth}", "--predictor", "echo", "--per-instance-log"],
+        ],
+        ids=["detect-out", "adjudicate-out", "adjudicate-audit-log", "eval-per-instance-log"],
+    )
+    def test_output_that_cannot_be_written_is_named(self, capsys, tmp_path, report_path, argv):
+        truth = tmp_path / "truth.jsonl"
+        entry = {"instance_id": "a", "source": "a.rules", "rule_a": "r1", "rule_b": "r2", "fine": "SAC"}
+        truth.write_text(json.dumps(entry) + "\n", encoding="utf-8")
+        out = tmp_path / "missing" / "out.txt"
+        argv = [arg.format(report=report_path, truth=truth) for arg in argv]
+        assert run_fatal(capsys, *argv, str(out)) == f"cannot write {out}: No such file or directory"
+
+    def test_empty_instance_file_under_the_backend_is_named(self, capsys, tmp_path):
+        empty = tmp_path / "empty.rules"
+        empty.write_text("", encoding="utf-8")
+        truth = tmp_path / "truth.jsonl"
+        entries = [
+            {"instance_id": "a", "source": str(empty), "rule_a": "r1", "rule_b": "r2", "fine": "SAC"},
+            {"instance_id": "b", "source": str(BENIGN), "rule_a": "r1", "rule_b": "r2", "fine": "SAC"},
+        ]
+        truth.write_text("".join(json.dumps(entry) + "\n" for entry in entries), encoding="utf-8")
+        with socket.socket() as sock:  # a port that nothing listens on once the socket closes
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"backend": {"endpoint": f"http://127.0.0.1:{port}/v1", "model": "m"}}), encoding="utf-8")
+        argv = ["eval", "--manifest", str(truth), "--predictor", "backend", "--config", str(config)]
+        assert run_fatal(capsys, *argv) == f"instance file {empty} is empty"
 
     def test_negative_sample_size_names_the_flag(self, capsys, tmp_path):
         argv = ["mutate", "--out-dir", str(tmp_path / "x"), "--strategy", "sample", "--sample-n", "-1", "--rng-seed", "1"]

@@ -12,7 +12,6 @@ from conftest import DATA_DIR, load_bench_generator, parse_text
 import ritkit.detector
 from ritkit.detector import (
     CoarseCategory,
-    DetectorConfig,
     FineCategory,
     aggregate,
     detect_file,
@@ -34,8 +33,6 @@ from ritkit.ir import (
     make_value,
 )
 from ritkit.report import render_structured, render_text
-
-LENIENT = DetectorConfig(strict_event_matching=False)
 
 
 GENERATOR = load_bench_generator()
@@ -127,7 +124,7 @@ class TestTriggerCascade:
             'rule "listener"\nwhen\n    Item Relay received command\nthen\n    sendCommand(Siren, ON)\nend\n'
         )
         assert detect_file(rs).total == 0
-        lenient = detect_file(rs, LENIENT)
+        lenient = detect_file(rs, strict=False)
         assert [f.category for f in lenient.findings] == [FineCategory.STC]
 
     def test_cascade_is_directional(self, morning_pair):
@@ -254,7 +251,7 @@ class TestItemIndex:
             assert len(rs.rules) == n_rules and not rs.diagnostics
             visited.clear()
             want = Counter(oracle.oracle_detect_file(rs, strict))
-            got = Counter(oracle.detector_identities(detect_file(rs, DetectorConfig(strict))))
+            got = Counter(oracle.detector_identities(detect_file(rs, strict)))
             assert got == want and want
             assert len(visited) < n_rules * (n_rules - 1) // 20
 
@@ -324,8 +321,8 @@ class TestInvariants:
     def test_finding_keys_are_unique_per_report(self, seed):
         # Routing, the table stub and the audit log name a finding by its key.
         ruleset = oracle.random_ruleset(random.Random(seed))
-        for config in (DetectorConfig(), LENIENT):
-            keys = [finding_key(f) for f in detect_file(ruleset, config).findings]
+        for strict in (True, False):
+            keys = [finding_key(f) for f in detect_file(ruleset, strict).findings]
             assert len(keys) == len(set(keys))
 
     def test_detection_is_deterministic(self, morning_pair):
@@ -354,7 +351,6 @@ class TestRecords:
             (rule, "conditions"),
             (Diagnostic("error", "rule-block", "m"), "line"),
             (RuleSet("f", (rule,)), "rules"),
-            (DetectorConfig(), "strict_event_matching"),
             (finding.action_a, "text"),
             (finding.rule_a, "name"),
             (finding, "category"),

@@ -13,7 +13,7 @@ from conftest import load_bench_generator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ritkit.detector import CATEGORY_ORDER, DetectorConfig, FineCategory, detect_file, detect_pair, detect_pairs_touching
+from ritkit.detector import CATEGORY_ORDER, FineCategory, detect_file, detect_pair, detect_pairs_touching
 from ritkit.ir import rule_source
 from ritkit.mutate import (
     Exhaustive,
@@ -88,7 +88,7 @@ def corpus_digest(out_dir: Path) -> str:
 
 def pair_categories(text: str, pair: tuple[str, str], strict: bool = True) -> set[FineCategory]:
     rs = parse_ruleset(SourceFile.from_text(text, "<mutant>"))
-    report = detect_file(rs, DetectorConfig(strict_event_matching=strict))
+    report = detect_file(rs, strict)
     return {f.category for f in report.findings if {f.rule_a.id, f.rule_b.id} == set(pair)}
 
 
@@ -169,7 +169,7 @@ _PADDING = ("\n", "\n\n", " \t", "// note\n", '// rule "ghost" when then end\n',
 
 
 def finding_identities(ruleset, strict: bool) -> set[tuple]:
-    report = detect_file(ruleset, DetectorConfig(strict_event_matching=strict))
+    report = detect_file(ruleset, strict)
     return {(f.category, f.rule_a.id, f.rule_b.id, f.threat_pair) for f in report.findings}
 
 
@@ -234,15 +234,14 @@ def check_incremental_validation(seed: Seed, op, pair: tuple[str, str], post_upd
         assert rules == whole.rules  # spans included
         rewritten = [k for k, rule in enumerate(rules) if rule.id in blocks]
         for strict in (True, False):
-            config = DetectorConfig(strict_event_matching=strict)
-            findings = detect_file(whole, config).findings
+            findings = detect_file(whole, strict).findings
             touching = [f for f in findings if {f.rule_a.id, f.rule_b.id} & set(pair)]
-            assert detect_pairs_touching(rules, rewritten, config) == touching
+            assert detect_pairs_touching(rules, rewritten, strict) == touching
             on_pair = [f for f in findings if {f.rule_a.id, f.rule_b.id} == set(pair)]
-            assert detect_pair(*(rules[k] for k in rewritten), config) == on_pair
+            assert detect_pair(*(rules[k] for k in rewritten), strict) == on_pair
             # Every other pair keeps the seed's findings.
             untouched = [f for f in findings if not {f.rule_a.id, f.rule_b.id} & set(pair)]
-            seed_untouched = [f for f in detect_file(seed.ruleset, config).findings if not {f.rule_a.id, f.rule_b.id} & set(pair)]
+            seed_untouched = [f for f in detect_file(seed.ruleset, strict).findings if not {f.rule_a.id, f.rule_b.id} & set(pair)]
             assert untouched == seed_untouched
         checked += 1
     return checked

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import time
 from pathlib import Path
 
 from conftest import DATA_DIR, GOLDEN_DIR, load_bench_generator, parse_fixture, parse_text
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ritkit.ir import ActionKind, ConditionKind, TriggerKind, ValueKind
-from ritkit.lexer import TokenKind, tokenize
+from ritkit.lexer import _GROUP_KINDS, _TOKEN_RE, TokenKind, tokenize
 from ritkit.parser import MAX_IF_DEPTH, parse_ruleset
 from ritkit.source import SourceFile
 
@@ -59,6 +60,38 @@ class TestTokenize:
         text = "// header\n/* block\nspans lines */ ON\t\r\n"
         toks = tokenize(SourceFile.from_text(text))
         assert [t.text for t in toks] == ["ON"]
+
+    def test_every_group_lexes_to_a_kind_and_every_kind_has_a_group(self):
+        groups = set(_TOKEN_RE.groupindex)
+        assert groups - {"ws", "line_comment", "block_comment"} == set(_GROUP_KINDS)
+        assert {kind.value for kind in TokenKind} - {"error"} <= groups
+        errors = {group for group, kind in _GROUP_KINDS.items() if kind is TokenKind.ERROR}
+        assert errors == {"unterminated_string", "unterminated_comment", "stray"}
+
+    def test_unterminated_comment_opener_is_an_error_token(self):
+        toks = tokenize(SourceFile.from_text("ON /* never closed\nOFF"))
+        assert [(t.kind, t.text) for t in toks] == [
+            (TokenKind.IDENT, "ON"),
+            (TokenKind.ERROR, "/*"),
+            (TokenKind.IDENT, "never"),
+            (TokenKind.IDENT, "closed"),
+            (TokenKind.IDENT, "OFF"),
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(_FRAGMENTS), max_size=40))
+    def test_lexing_past_an_unclosed_comment_keeps_every_lexeme(self, fragments):
+        # The lexer stops looking for `*/` after a `/*` that none follows; one pass of the whole pattern is the reference.
+        text = "".join(fragments)
+        got = [(t.kind, t.text, t.offset) for t in tokenize(SourceFile.from_text(text))]
+        lexemes = _TOKEN_RE.finditer(text)
+        assert got == [(_GROUP_KINDS[m.lastgroup], m.group(), m.start()) for m in lexemes if m.lastgroup in _GROUP_KINDS]
+
+    def test_unclosed_comment_openers_lex_in_linear_time(self):
+        # When each `/*` searched the rest of the file for `*/`, these 20,000 took about 17 s.
+        started = time.monotonic()
+        assert len(tokenize(SourceFile.from_text("/* x\n" * 20_000))) == 40_000
+        assert time.monotonic() - started < 2.0
 
     def test_every_character_is_covered(self):
         text = 'rule "A" // c\nwhen\n  x >= 8:30 && y == "s"\nthen\nend\n'
@@ -116,6 +149,14 @@ class TestParseRuleset:
         rs = parse_text("this file is not rules at all\n")
         assert rs.rules == ()
         assert len(rs.errors()) >= 1
+
+    def test_unterminated_comment_is_diagnosed_and_hides_no_rule(self):
+        rule = 'rule "{}"\nwhen\n    System started\nthen\n    sendCommand(X, {})\nend\n'
+        rs = parse_text(rule.format("a", "ON") + "/* note\n" + rule.format("b", "OFF"))
+        assert [r.name for r in rs.rules] == ["a", "b"]
+        assert [(d.severity, d.line, d.col, d.message) for d in rs.diagnostics] == [
+            ("warning", 7, 1, "content after 'end' ignored: '/*'")
+        ]
 
     def test_unparseable_statement_keeps_rule_with_warning(self):
         text = (

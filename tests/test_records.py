@@ -7,22 +7,24 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import re
 from pathlib import Path
 from types import UnionType
 from typing import Literal, NamedTuple, get_args, get_origin, get_type_hints
 
+import oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ritkit.cli import main
 from ritkit.config import ToolConfig
-from ritkit.detector import CATEGORY_ORDER, FineCategory
+from ritkit.detector import CATEGORY_ORDER, FineCategory, Finding, detect_file
 from ritkit.evaluate import GroundTruthEntry, InstanceLog, PredictionEntry
 from ritkit.hybrid import AuditRecord
 from ritkit.mutate import MutantRecord
-from ritkit.records import dump_records, from_json, loads, read_records
+from ritkit.records import dump_records, from_json, loads, read_records, to_json
 
 DATA = Path(__file__).parent / "data"
 
@@ -90,6 +92,15 @@ def test_records_survive_a_round_trip(tmp_path_factory, data, cls):
         expected.append(cls(**{**record._asdict(), **{k: defaults[k] for k in absent}}))
     path.write_text("\n".join(lines), encoding="utf-8")
     assert read_records(path, cls) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_to_json_is_the_inverse_of_from_json(seed):
+    # Findings hold enums, nested records, tuples of records and nullable refs.
+    ruleset = oracle.random_ruleset(random.Random(seed))
+    for finding in detect_file(ruleset, strict=False).findings:
+        assert from_json(json.loads(json.dumps(to_json(finding))), Finding) == finding
 
 
 # A JSON kind -> values of it; a field takes the kinds `_kinds` names.

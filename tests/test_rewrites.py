@@ -19,7 +19,7 @@ from conftest import load_bench_generator, parse_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ritkit.detector import DetectorConfig, detect_file
+from ritkit.detector import detect_file
 from ritkit.mutate import bundled_seed_paths
 
 _BLOCK_START = re.compile(r'(?m)^(?=rule ")')
@@ -40,7 +40,7 @@ def _ruleset_text(data, seed_texts: list[str]) -> str:
 
 def _identities(ruleset, strict: bool) -> Counter:
     """Finding identities; an action contradiction is unordered, so its two sides are sorted."""
-    report = detect_file(ruleset, DetectorConfig(strict_event_matching=strict))
+    report = detect_file(ruleset, strict)
     identities = Counter(oracle.detector_identities(report))
     assert identities == Counter(oracle.oracle_detect_file(ruleset, strict))
     out: Counter = Counter()
