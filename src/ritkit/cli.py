@@ -338,10 +338,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     try:
         row, logs = run_experiment(config, dataset, predictor, BACKEND_JOBS if backend else 1)
-    except OSError as exc:  # an instance file the manifest names, missing or not UTF-8
+    except OSError as exc:  # an instance file the manifest names, missing, not UTF-8 or empty for a backend
         return _fail(f"cannot read instance file {exc.filename}: {exc.strerror}")
-    except ValueError as exc:  # an empty instance file, which a backend prompt cannot hold
-        return _fail(str(exc))
     finally:
         if backend is not None:
             backend.close()

@@ -201,15 +201,16 @@ def backend_predictor(config: ExperimentConfig, backend) -> Predictor:
     """Blind classification through a text backend (hybrid recovery mode).
 
     A backend that gives up raises `BackendError`, and `run_experiment` then
-    makes no further call. An empty instance file is a ValueError that names it.
+    makes no further call. An empty instance file is an OSError that names it.
     """
     from .hybrid import recover_negatives
 
     def predict(entry: GroundTruthEntry) -> Prediction:
         text = _read_instance(entry).content
-        if not text.strip():  # no prompt can hold it
-            raise ValueError(f"instance file {entry.source} is empty")
-        return recover_negatives(text, config, backend)
+        try:
+            return recover_negatives(text, config, backend)
+        except ValueError as exc:  # build_prompt's refusal; the client raises BackendError
+            raise OSError(errno.ENODATA, str(exc), entry.source) from exc
 
     return predict
 

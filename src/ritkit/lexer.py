@@ -85,8 +85,7 @@ def tokenize(source: SourceFile) -> list[Token]:
     tokens: list[Token] = []
     line, line_start = 1, 0  # the current line and the offset it starts at
     content = source.content
-    # Gapless, as the stray group matches any character. Only a file with `/*` pays for the generator.
-    for m in _lexemes(content) if "/*" in content else _TOKEN_RE.finditer(content):
+    for m in _lexemes(content):  # gapless, as the stray group matches any character
         kind = _GROUP_KINDS.get(m.lastgroup)
         text = m.group()
         pos = m.start()
